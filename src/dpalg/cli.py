@@ -104,18 +104,43 @@ def parse_weights(text):
     return tuple(int(part) for part in text.split(","))
 
 
+def at_least(bound):
+    """Argument type: an int no smaller than ``bound``."""
+
+    def parse(text):
+        value = int(text)
+        if value < bound:
+            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+# The flags each property suite takes, mapped to its keyword arguments.  A
+# suite fixes everything else itself, so any other flag is refused rather
+# than silently ignored.
+SUITE_FLAGS = {
+    "axioms": {"samples": "samples", "seed": "seed"},
+    "beck": {"samples": "samples", "seed": "seed"},
+    "inversion": {"trunc": "truncation"},
+    "remark54": {"gens": "rank", "trunc": "truncation"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dpalg",
         description="exact computations in weight-truncated free divided power algebras",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit JSON")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument("--ring", type=parse_ring, default=ZZ, help="z or zmod=M")
     common.add_argument("--gens", type=int, default=1, help="number of generators")
     common.add_argument("--weights", type=parse_weights, default=None, help="w1,w2,...")
     common.add_argument("--trunc", type=int, default=8, help="weight truncation N")
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("normalize", parents=[common], help="print the canonical form")
@@ -132,9 +157,14 @@ def build_parser():
         parents=[common],
         help="verify the closed forms against the I/I^2 oracle",
     )
-    p = sub.add_parser("check", parents=[common], help="run a named property suite")
+    # The suites fix their own rings and weights; see SUITE_FLAGS for which
+    # suite takes which of the flags below.
+    p = sub.add_parser("check", parents=[output], help="run a named property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=at_least(1), help="samples per configuration")
+    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--gens", type=at_least(1), help="number of generators")
+    p.add_argument("--trunc", type=at_least(2), help="weight truncation N")
     return parser
 
 
@@ -242,11 +272,16 @@ def run(argv):
             return _emit_report(report, args.json)
 
         if args.command == "check":
-            suite = SUITES[args.suite]
-            kwargs = {}
-            if args.suite in ("axioms", "beck"):
-                kwargs = {"samples": args.samples, "seed": args.seed}
-            report = suite(**kwargs)
+            accepted = SUITE_FLAGS.get(args.suite, {})
+            given = {
+                flag: getattr(args, flag)
+                for flag in ("samples", "seed", "gens", "trunc")
+                if getattr(args, flag) is not None
+            }
+            refused = [f"--{flag}" for flag in given if flag not in accepted]
+            if refused:
+                raise ValueError(f"check {args.suite} does not take {', '.join(refused)}")
+            report = SUITES[args.suite](**{accepted[flag]: value for flag, value in given.items()})
             return _emit_report(report, args.json)
     except (ParseError, EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -323,8 +323,13 @@ def basis_up_to(spec, cap=None):
 
 
 def coordinates(element, monomials):
-    index = {m: i for i, m in enumerate(monomials)}
-    vec = [0] * len(monomials)
+    """Coefficient vector of ``element`` over ``monomials``.
+
+    ``monomials`` is a list, or a dict from monomial to position that a caller
+    builds once and reuses across many elements.
+    """
+    index = monomials if isinstance(monomials, dict) else {m: i for i, m in enumerate(monomials)}
+    vec = [0] * len(index)
     for mono, c in element.terms.items():
         vec[index[mono]] = c
     return vec

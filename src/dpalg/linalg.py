@@ -34,48 +34,86 @@ class IntegerMatrix:
         return len(self.entries[0]) if self.entries else len(self.col_labels)
 
 
+class HermiteBasis(list):
+    """The rows of a Hermite normal form, with the pivot column of each row.
+
+    ``support()`` lists, for each row, the columns from its pivot on where the
+    row is nonzero.  It is built on the first solve and kept, so every solve
+    against the same lattice is a triangular substitution that touches only
+    nonzero entries.  The rows must not be modified once built.
+    """
+
+    def __init__(self, rows, pivots):
+        super().__init__(rows)
+        self.pivots = tuple(pivots)
+        self._support = None
+
+    def support(self):
+        if self._support is None:
+            self._support = [
+                [j for j in range(pcol, len(row)) if row[j]] for pcol, row in zip(self.pivots, self)
+            ]
+        return self._support
+
+
 def hermite_form(rows, ncols=None):
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 
-    Returns a new list of rows in echelon form with positive pivots and
-    entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
+    Returns a ``HermiteBasis`` of rows in echelon form with positive pivots
+    and entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     work = [list(r) for r in rows if any(r)]
     basis = []
+    pivots = []
     col = 0
     while col < ncols and work:
-        live = [r for r in work if r[col] != 0]
+        live, rest = [], []
+        for r in work:
+            (live if r[col] else rest).append(r)
         if not live:
             col += 1
             continue
+        touched = live
         # Reduce the column to a single nonzero entry by gcd steps.
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
             pivot = live[0]
+            support = [j for j in range(col, ncols) if pivot[j]]
             for r in live[1:]:
                 q = r[col] // pivot[col]
-                for j in range(col, ncols):
+                for j in support:
                     r[j] -= q * pivot[j]
             live = [r for r in live if r[col] != 0]
         pivot = live[0]
         if pivot[col] < 0:
             for j in range(col, ncols):
                 pivot[j] = -pivot[j]
-        work = [r for r in work if r is not pivot and any(r)]
+        # Only the rows reduced in this column can have become zero.
+        work = rest + [r for r in touched if r is not pivot and any(r)]
         basis.append(pivot)
+        pivots.append(col)
         col += 1
     # Reduce entries above each pivot.
-    pivots = [(next(j for j, v in enumerate(row) if v != 0), row) for row in basis]
-    for i, (pcol, prow) in enumerate(pivots):
-        for k in range(i):
-            above = pivots[k][1]
+    for i, (pcol, prow) in enumerate(zip(pivots, basis)):
+        support = [j for j in range(pcol, len(prow)) if prow[j]]
+        for above in basis[:i]:
             q = above[pcol] // prow[pcol]
             if q:
-                for j in range(pcol, len(prow)):
+                for j in support:
                     above[j] -= q * prow[j]
-    return basis
+    return HermiteBasis(basis, pivots)
+
+
+def spans_full_lattice(rows, ncols):
+    """Whether ``rows`` span all of Z^ncols.
+
+    The Hermite normal form of a lattice is unique, and that of Z^ncols is the
+    identity, so one reduction decides it.
+    """
+    hnf = hermite_form(rows, ncols)
+    return len(hnf) == ncols and all(row[i] == 1 for i, row in enumerate(hnf))
 
 
 def kernel_basis(rows, ncols):
@@ -105,24 +143,30 @@ def kernel_basis_mod(rows, ncols, modulus):
     return hermite_form([v[:ncols] for v in lifted], ncols)
 
 
-def solve_in_lattice(hnf_rows, target):
-    """Integer coefficients expressing ``target`` over the HNF basis, or None."""
+def solve_in_lattice(hnf, target):
+    """Integer coefficients expressing ``target`` over the rows of ``hnf``, or None.
+
+    ``hnf`` is a ``HermiteBasis`` from ``hermite_form``.  Back substitution
+    runs over its cached pivots; a row whose pivot entry in the residue is
+    already 0 gets coefficient 0 and is skipped.
+    """
     residue = list(target)
-    coeffs = []
-    for row in hnf_rows:
-        pcol = next(j for j, v in enumerate(row) if v != 0)
-        q, r = divmod(residue[pcol], row[pcol])
-        if r != 0:
+    coeffs = [0] * len(hnf)
+    for i, (pcol, row, support) in enumerate(zip(hnf.pivots, hnf, hnf.support())):
+        value = residue[pcol]
+        if not value:
+            continue
+        q, r = divmod(value, row[pcol])
+        if r:
             return None
-        coeffs.append(q)
-        if q:
-            for j in range(pcol, len(residue)):
-                residue[j] -= q * row[j]
+        coeffs[i] = q
+        for j in support:
+            residue[j] -= q * row[j]
     return coeffs if not any(residue) else None
 
 
-def in_lattice(hnf_rows, target):
-    return solve_in_lattice(hnf_rows, target) is not None
+def in_lattice(hnf, target):
+    return solve_in_lattice(hnf, target) is not None
 
 
 def smith_diagonal(rows, ncols=None):
@@ -176,10 +220,11 @@ def smith_diagonal(rows, ncols=None):
                 break
         pivot = abs(m[0][t])
         # The pivot must divide every remaining entry; otherwise fold the
-        # offending row into the pivot row and redo this step.
-        culprit = next(
-            (row for row in m[1:] if any(v % pivot for v in row[t:])), None
-        )
+        # offending row into the pivot row and redo this step.  A unit pivot
+        # divides everything.
+        culprit = None
+        if pivot != 1:
+            culprit = next((row for row in m[1:] if any(v % pivot for v in row[t:])), None)
         if culprit is not None:
             for j in range(t, ncols):
                 m[0][j] += culprit[j]

@@ -33,6 +33,7 @@ from .linalg import (
     invariant_factor_chain,
     kernel_basis_mod,
     solve_in_lattice,
+    spans_full_lattice,
 )
 from .report import CheckReport
 
@@ -185,12 +186,18 @@ def unital_product_collapse(module, samples=100, seed=0):
 # Fold map, kernel I, and I / I^2
 
 
+def position_index(monomials):
+    """Monomial -> position, built once per basis and passed to ``coordinates``."""
+    return {m: i for i, m in enumerate(monomials)}
+
+
 @dataclass
 class FoldSlice:
     weight: int
     domain_basis: list
     matrix: list
     kernel: list
+    index: dict
 
 
 def fold_kernel(spec):
@@ -202,13 +209,14 @@ def fold_kernel(spec):
     for w in range(1, spec.truncation + 1):
         domain = basis_of_weight(co.spec, w)
         target = basis_of_weight(spec, w)
+        target_index = position_index(target)
         columns = [
-            coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), target)
+            coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), target_index)
             for m in domain
         ]
         matrix = [[columns[j][i] for j in range(len(domain))] for i in range(len(target))]
         kernel = kernel_basis_mod(matrix, len(domain), spec.ring.modulus)
-        slices[w] = FoldSlice(w, domain, matrix, kernel)
+        slices[w] = FoldSlice(w, domain, matrix, kernel, position_index(domain))
     return co, slices
 
 
@@ -220,6 +228,7 @@ class QuotientSlice:
     relation_rows: list
     relation_hnf: list
     factors: tuple
+    index: dict
 
 
 class OmegaOracle:
@@ -255,14 +264,17 @@ class OmegaOracle:
                     ambient = [0] * len(fold.domain_basis)
                     ambient[j] = spec.ring.modulus
                     rows.append(solve_in_lattice(fold.kernel, ambient))
-            factors = cokernel_factors(len(fold.kernel), rows, ZZ)
+            # One reduction per slice: the factors, class tests and the
+            # surjectivity check all start from this HNF.
+            relation_hnf = hermite_form(rows, len(fold.kernel))
+            factors = cokernel_factors(len(fold.kernel), relation_hnf, ZZ)
             self.slices[w] = QuotientSlice(
-                w, fold.domain_basis, fold.kernel, rows, hermite_form(rows, len(fold.kernel)), factors
+                w, fold.domain_basis, fold.kernel, rows, relation_hnf, factors, fold.index
             )
         self.phi_tables = self._induced_phi()
 
     def _kernel_coords(self, element, fold):
-        vec = coordinates(element, fold.domain_basis)
+        vec = coordinates(element, fold.index)
         coords = solve_in_lattice(fold.kernel, vec)
         if coords is None:
             raise ValueError("element does not lie in the fold kernel")
@@ -360,11 +372,7 @@ def verify_main_theorem(spec):
                 )
         phi_rows[w] = rows
 
-        span = hermite_form([list(r) for r in rows] + [list(r) for r in slice_w.relation_rows], len(slice_w.kernel))
-        surjective = all(
-            in_lattice(span, [int(i == j) for i in range(len(slice_w.kernel))])
-            for j in range(len(slice_w.kernel))
-        )
+        surjective = spans_full_lattice([*rows, *slice_w.relation_hnf], len(slice_w.kernel))
         report.check(f"comparison map surjective (w={w})", surjective, True)
 
     # d-compatibility: the closed-form universal derivation matches
@@ -456,6 +464,7 @@ def verify_indecomposables(spec):
     )
     for w in range(1, spec.truncation + 1):
         basis = basis_of_weight(spec, w)
+        index = position_index(basis)
         rows = []
         for w1 in range(1, w // 2 + 1):
             w2 = w - w1
@@ -467,7 +476,7 @@ def verify_indecomposables(spec):
                 pairs = [(m, n) for m in left for n in right]
             for m, n in pairs:
                 product = from_terms(spec, {m: 1}) * from_terms(spec, {n: 1})
-                rows.append(coordinates(product, basis))
+                rows.append(coordinates(product, index))
         got = cokernel_factors(len(basis), rows, ring)
         expected = invariant_factor_chain(closed.annihilators_of_weight(w), ring)
         report.check(f"A/A^2 slice (w={w})", got, expected)

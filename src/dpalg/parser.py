@@ -12,9 +12,16 @@ desugar to multiplication by the integer literal -1.
 
 AST nodes are tuples: ('int', n), ('gen', i) with i 1-based as written,
 ('gamma', n, sub), ('product', [factors]), ('sum', [terms]).
+
+Parentheses and gN(...) may nest at most MAX_DEPTH levels deep; deeper input
+is a ParseError rather than an exhausted interpreter stack.
 """
 
 from .dpcore import divided_power, gamma_gen, zero
+
+# Each level costs a few parser frames and one evaluator frame, so this stays
+# well inside the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -36,6 +43,13 @@ class _Scanner:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, offset):
+        """Open one nesting level at ``offset``, refusing to exceed MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(offset, f"nesting deeper than {MAX_DEPTH} levels")
 
     def skip_space(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -101,9 +115,11 @@ def _term(scanner, gens):
 def _factor(scanner, gens):
     ch = scanner.peek()
     if ch == "(":
+        scanner.enter(scanner.pos)
         scanner.take("(")
         inner = _expr(scanner, gens)
         scanner.expect(")", (")",))
+        scanner.depth -= 1
         return inner
     if ch == "x":
         scanner.take("x")
@@ -117,9 +133,11 @@ def _factor(scanner, gens):
         n = scanner.integer()
         if n < 1:
             raise ParseError(offset, f"divided power index must be >= 1, got g{n}")
+        scanner.enter(scanner.pos)
         scanner.expect("(", ("(",))
         inner = _expr(scanner, gens)
         scanner.expect(")", (")",))
+        scanner.depth -= 1
         return ("gamma", n, inner)
     if ch.isdigit():
         return ("int", scanner.integer())

@@ -89,6 +89,47 @@ def test_check_suite_exit_codes(capsys):
     assert invoke(capsys, "check", "congruence")[0] == 0
 
 
+def test_check_rejects_non_positive_samples(capsys):
+    for samples in ("-1", "0"):
+        code, out, err = invoke(capsys, "check", "axioms", "--samples", samples)
+        assert code == 2
+        assert "--samples: must be >= 1" in err
+        assert "[ok]" not in out
+
+
+def test_check_rejects_options_the_suite_does_not_take(capsys):
+    for suite, flags in (
+        ("axioms", ("--gens", "3", "--trunc", "4", "--ring", "zmod=7")),
+        ("axioms", ("--ring", "zmod=7")),
+        ("axioms", ("--weights", "1,2")),
+        ("axioms", ("--gens", "2")),
+        ("beck", ("--trunc", "4")),
+        ("gcd", ("--samples", "5")),
+        ("inversion", ("--seed", "3")),
+        ("congruence", ("--gens", "2")),
+    ):
+        code, out, err = invoke(capsys, "check", suite, *flags)
+        assert code == 2, (suite, flags)
+        assert "unrecognized arguments" in err or "does not take" in err
+        assert out == ""
+
+
+def test_check_honours_suite_options(capsys):
+    code, out, _ = invoke(capsys, "check", "inversion", "--trunc", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["title"] == "phi inversion identity at N=5 over Z"
+    code, _, err = invoke(capsys, "check", "inversion", "--trunc", "1")
+    assert code == 2
+    assert "--trunc: must be >= 2" in err
+
+
+def test_deep_nesting_exits_two(capsys):
+    for expr in ("g2(" * 1500 + "x1" + ")" * 1500, "(" * 3000 + "x1" + ")" * 3000):
+        code, _, err = invoke(capsys, "normalize", expr)
+        assert code == 2
+        assert "nesting deeper" in err
+
+
 def test_failing_report_exits_one(capsys):
     from dpalg.cli import _emit_report
     from dpalg.report import CheckReport

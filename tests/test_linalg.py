@@ -13,6 +13,7 @@ from dpalg.linalg import (
     smith_diagonal,
     smith_normal_form,
     solve_in_lattice,
+    spans_full_lattice,
 )
 
 
@@ -123,3 +124,87 @@ def test_chain_matches_cokernel_presentation():
             if d:
                 rows.append([d if i == j else 0 for i in range(n)])
         assert cokernel_factors(n, rows, ring) == invariant_factor_chain(orders, ring)
+
+
+def _reference_solve(hnf_rows, target):
+    """Back substitution that finds each pivot by scanning its row."""
+    residue = list(target)
+    coeffs = []
+    for row in hnf_rows:
+        pcol = next(j for j, v in enumerate(row) if v != 0)
+        q, r = divmod(residue[pcol], row[pcol])
+        if r != 0:
+            return None
+        coeffs.append(q)
+        for j in range(pcol, len(residue)):
+            residue[j] -= q * row[j]
+    return coeffs if not any(residue) else None
+
+
+def _combine(coeffs, rows, ncols):
+    out = [0] * ncols
+    for c, row in zip(coeffs, rows):
+        for j in range(ncols):
+            out[j] += c * row[j]
+    return out
+
+
+def test_cached_pivot_solve_matches_reference():
+    rng = random.Random(2024)
+    lattices = []
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        full_rank = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(ncols + 2)]
+        # Rank-deficient: every row is a combination of two seed rows.
+        seeds = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(2)]
+        deficient = [
+            [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b for a, b in zip(*seeds)]
+            for _ in range(ncols + 1)
+        ]
+        matrix = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+        lattices.append((hermite_form(full_rank, ncols), ncols))
+        lattices.append((hermite_form(deficient, ncols), ncols))
+        lattices.append((kernel_basis_mod(matrix, ncols, 6), ncols))
+    members = non_members = 0
+    for hnf, ncols in lattices:
+        for _ in range(8):
+            if hnf and rng.random() < 0.5:
+                coeffs = [rng.randint(-4, 4) for _ in hnf]
+                target = _combine(coeffs, hnf, ncols)
+            else:
+                target = [rng.randint(-9, 9) for _ in range(ncols)]
+            got = solve_in_lattice(hnf, target)
+            assert got == _reference_solve(hnf, target)
+            assert in_lattice(hnf, target) == (got is not None)
+            if got is None:
+                non_members += 1
+            else:
+                members += 1
+                assert _combine(got, hnf, ncols) == target
+    assert members > 100 and non_members > 100
+
+
+def test_kernel_mod6_solve_rejects_non_members():
+    # v = (1, 0, 0) has M v = 1 != 0 mod 6 for M = [[1, 2, 3]].
+    basis = kernel_basis_mod([[1, 2, 3]], 3, 6)
+    assert solve_in_lattice(basis, [1, 0, 0]) is None
+    assert solve_in_lattice(basis, [0, 0, 1]) is None
+    coeffs = solve_in_lattice(basis, [6, 0, 0])
+    assert coeffs is not None and _combine(coeffs, basis, 3) == [6, 0, 0]
+
+
+def test_spans_full_lattice_identity_test():
+    assert spans_full_lattice([[1, 2], [0, 1]], 2)
+    assert spans_full_lattice([[2, 1], [1, 1], [5, 7]], 2)
+    assert spans_full_lattice([], 0)
+    # Negative control: (2, 0), (0, 1) and (2, 1) span an index-2 sublattice.
+    assert not spans_full_lattice([[2, 0], [0, 1], [2, 1]], 2)
+    assert not spans_full_lattice([[1, 1], [1, -1]], 2)
+    # Rank-deficient rows never span.
+    assert not spans_full_lattice([[1, 0, 0], [0, 1, 0]], 3)
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+        diag = smith_diagonal(rows, n)
+        assert spans_full_lattice(rows, n) == (diag == [1] * n)

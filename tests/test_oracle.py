@@ -224,3 +224,9 @@ def test_gradewise_stability_under_deeper_truncation():
     for w in range(1, 5):
         assert oracle_small.slices[w].factors == oracle_big.slices[w].factors
         assert sorted(oracle_small.slices[w].relation_rows) == sorted(oracle_big.slices[w].relation_rows)
+
+
+@pytest.mark.parametrize("rank, truncation, ring", [(2, 9, ZZ), (2, 8, Ring(6))])
+def test_main_theorem_at_larger_settings(rank, truncation, ring):
+    report = verify_main_theorem(free_spec(ring, rank, truncation))
+    assert report.passed, report.summary()

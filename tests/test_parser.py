@@ -11,7 +11,7 @@ from dpalg.dpcore import (
     random_element,
     zero,
 )
-from dpalg.parser import EvalError, ParseError, parse, parse_and_evaluate
+from dpalg.parser import MAX_DEPTH, EvalError, ParseError, parse, parse_and_evaluate
 
 RANK1 = free_spec(ZZ, 1, 8)
 RANK2 = free_spec(ZZ, 2, 8)
@@ -93,3 +93,19 @@ def test_roundtrip_includes_gamma_forms():
         n = rng.randint(1, 4)
         el = divided_power(n, random_element(RANK2, rng, max_terms=2))
         assert parse_and_evaluate(format_element(el), RANK2) == el
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nesting deeper") as info:
+        parse("g2(" * 1500 + "x1" + ")" * 1500)
+    assert info.value.offset == 3 * MAX_DEPTH + 2
+    with pytest.raises(ParseError, match="nesting deeper") as info:
+        parse("(" * 3000 + "x1" + ")" * 3000)
+    assert info.value.offset == MAX_DEPTH
+
+
+def test_nesting_up_to_the_limit_evaluates():
+    deep = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse_and_evaluate(deep, RANK1) == gamma_gen(RANK1, 0, 1)
+    nested = "g1(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse_and_evaluate(nested, RANK1) == gamma_gen(RANK1, 0, 1)
