@@ -124,7 +124,6 @@ SUITE_FLAGS = {
     "axioms": {"samples": "samples", "seed": "seed"},
     "beck": {"samples": "samples", "seed": "seed"},
     "inversion": {"trunc": "truncation"},
-    "remark54": {"gens": "rank", "trunc": "truncation"},
 }
 
 
@@ -163,7 +162,6 @@ def build_parser():
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--samples", type=at_least(1), help="samples per configuration")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.add_argument("--gens", type=at_least(1), help="number of generators")
     p.add_argument("--trunc", type=at_least(2), help="weight truncation N")
     return parser
 
@@ -275,7 +273,7 @@ def run(argv):
             accepted = SUITE_FLAGS.get(args.suite, {})
             given = {
                 flag: getattr(args, flag)
-                for flag in ("samples", "seed", "gens", "trunc")
+                for flag in ("samples", "seed", "trunc")
                 if getattr(args, flag) is not None
             }
             refused = [f"--{flag}" for flag in given if flag not in accepted]

@@ -322,13 +322,13 @@ def basis_up_to(spec, cap=None):
     return out
 
 
-def coordinates(element, monomials):
-    """Coefficient vector of ``element`` over ``monomials``.
+def position_index(monomials):
+    """Monomial -> position in ``monomials``, built once per basis."""
+    return {m: i for i, m in enumerate(monomials)}
 
-    ``monomials`` is a list, or a dict from monomial to position that a caller
-    builds once and reuses across many elements.
-    """
-    index = monomials if isinstance(monomials, dict) else {m: i for i, m in enumerate(monomials)}
+
+def coordinates(element, index):
+    """Coefficient vector of ``element`` over a basis given by its ``position_index``."""
     vec = [0] * len(index)
     for mono, c in element.terms.items():
         vec[index[mono]] = c

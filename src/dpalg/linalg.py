@@ -37,23 +37,18 @@ class IntegerMatrix:
 class HermiteBasis(list):
     """The rows of a Hermite normal form, with the pivot column of each row.
 
-    ``support()`` lists, for each row, the columns from its pivot on where the
-    row is nonzero.  It is built on the first solve and kept, so every solve
-    against the same lattice is a triangular substitution that touches only
-    nonzero entries.  The rows must not be modified once built.
+    ``supports`` lists, for each row, the columns from its pivot on where the
+    row is nonzero, so every solve against the lattice is a triangular
+    substitution that touches only nonzero entries.  The rows are read-only:
+    ``pivots`` and ``supports`` describe them as built.
     """
 
     def __init__(self, rows, pivots):
         super().__init__(rows)
         self.pivots = tuple(pivots)
-        self._support = None
-
-    def support(self):
-        if self._support is None:
-            self._support = [
-                [j for j in range(pcol, len(row)) if row[j]] for pcol, row in zip(self.pivots, self)
-            ]
-        return self._support
+        self.supports = tuple(
+            tuple(j for j in range(pcol, len(row)) if row[j]) for pcol, row in zip(self.pivots, self)
+        )
 
 
 def hermite_form(rows, ncols=None):
@@ -152,7 +147,7 @@ def solve_in_lattice(hnf, target):
     """
     residue = list(target)
     coeffs = [0] * len(hnf)
-    for i, (pcol, row, support) in enumerate(zip(hnf.pivots, hnf, hnf.support())):
+    for i, (pcol, row, support) in enumerate(zip(hnf.pivots, hnf, hnf.supports)):
         value = residue[pcol]
         if not value:
             continue
@@ -220,11 +215,10 @@ def smith_diagonal(rows, ncols=None):
                 break
         pivot = abs(m[0][t])
         # The pivot must divide every remaining entry; otherwise fold the
-        # offending row into the pivot row and redo this step.  A unit pivot
-        # divides everything.
-        culprit = None
-        if pivot != 1:
-            culprit = next((row for row in m[1:] if any(v % pivot for v in row[t:])), None)
+        # offending row into the pivot row and redo this step.
+        culprit = next(
+            (row for row in m[1:] if any(v % pivot for v in row[t:])), None
+        )
         if culprit is not None:
             for j in range(t, ncols):
                 m[0][j] += culprit[j]

@@ -22,6 +22,7 @@ from .dpcore import (
     dp_map_apply,
     from_terms,
     gamma_gen,
+    position_index,
     zero as algebra_zero,
 )
 from .envelope import phi_of
@@ -184,11 +185,6 @@ def unital_product_collapse(module, samples=100, seed=0):
 
 # ---------------------------------------------------------------------------
 # Fold map, kernel I, and I / I^2
-
-
-def position_index(monomials):
-    """Monomial -> position, built once per basis and passed to ``coordinates``."""
-    return {m: i for i, m in enumerate(monomials)}
 
 
 @dataclass

@@ -103,12 +103,13 @@ def test_criterion_6_indecomposables():
         11: (11,),
         12: (),
     }
-    from dpalg.dpcore import basis_of_weight, coordinates, from_terms
+    from dpalg.dpcore import basis_of_weight, coordinates, from_terms, position_index
     from itertools import combinations_with_replacement
 
     ok = True
     for w in range(1, 13):
         basis = basis_of_weight(spec, w)
+        index = position_index(basis)
         rows = []
         for w1 in range(1, w // 2 + 1):
             w2 = w - w1
@@ -119,7 +120,7 @@ def test_criterion_6_indecomposables():
                 else ((m, n) for m in left for n in right)
             )
             for m, n in pairs:
-                rows.append(coordinates(from_terms(spec, {m: 1}) * from_terms(spec, {n: 1}), basis))
+                rows.append(coordinates(from_terms(spec, {m: 1}) * from_terms(spec, {n: 1}), index))
         oracle_spec_table[w] = cokernel_factors(len(basis), rows, ZZ)
         ok = ok and oracle_spec_table[w] == closed[w]
     for rank, rings in ((2, (ZZ, Ring(6))),):

@@ -107,6 +107,8 @@ def test_check_rejects_options_the_suite_does_not_take(capsys):
         ("gcd", ("--samples", "5")),
         ("inversion", ("--seed", "3")),
         ("congruence", ("--gens", "2")),
+        ("remark54", ("--gens", "3")),
+        ("remark54", ("--trunc", "6")),
     ):
         code, out, err = invoke(capsys, "check", suite, *flags)
         assert code == 2, (suite, flags)

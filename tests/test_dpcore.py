@@ -17,6 +17,7 @@ from dpalg.dpcore import (
     free_spec,
     from_terms,
     gamma_gen,
+    position_index,
     random_element,
     weight_components,
     zero,
@@ -255,4 +256,4 @@ def test_format_element():
 def test_coordinates():
     basis = basis_of_weight(RANK2, 2)
     a = divided_power(2, gamma_gen(RANK2, 0, 1) + gamma_gen(RANK2, 1, 1))
-    assert coordinates(a, basis) == [1, 1, 1]
+    assert coordinates(a, position_index(basis)) == [1, 1, 1]
