@@ -135,7 +135,6 @@ def build_parser():
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true", help="emit JSON")
     common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument("--ring", type=parse_ring, default=ZZ, help="z or zmod=M")
     common.add_argument("--gens", type=int, default=1, help="number of generators")
     common.add_argument("--weights", type=parse_weights, default=None, help="w1,w2,...")

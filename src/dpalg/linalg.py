@@ -240,6 +240,13 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     Over Z/m the m*identity relations are adjoined before the SNF, so a free
     column contributes a Z/m summand.  The result is the canonical chain
     d_1 | d_2 | ... with 1s dropped and one 0 per free summand.
+
+    In the Hermite form of the relations a pivot equal to 1 is the only
+    nonzero entry of its column (entries above it are reduced into [0, 1),
+    echelon form puts zeros below it), so column operations clear its row
+    without touching any other: the row and its column split off as a Z/1
+    summand.  The Smith step sees only the core, the non-unit-pivot rows
+    restricted to the remaining columns.
     """
     rows = [list(r) for r in relation_rows]
     if column_annihilators:
@@ -251,9 +258,13 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
             rows.append([ring.modulus if i == j else 0 for i in range(ncols)])
     # Hermite reduction first: cheap, and it caps the row count at ncols
     # before the quadratic Smith elimination runs.
-    diagonal = smith_diagonal(hermite_form(rows, ncols), ncols)
+    hnf = hermite_form(rows, ncols)
+    units = {pcol for pcol, row in zip(hnf.pivots, hnf) if row[pcol] == 1}
+    kept = [j for j in range(ncols) if j not in units]
+    core = [[row[j] for j in kept] for pcol, row in zip(hnf.pivots, hnf) if pcol not in units]
+    diagonal = smith_diagonal(core, len(kept))
     chain = [d for d in diagonal if d != 1]
-    chain.extend([0] * (ncols - len(diagonal)))
+    chain.extend([0] * (len(kept) - len(diagonal)))
     return tuple(chain)
 
 

@@ -4,9 +4,13 @@ Nothing here consults the closed forms: the coproduct is the free algebra on
 the doubled generator set, the fold map is evaluated monomial by monomial,
 its kernel I is computed by exact integer linear algebra, I^2 is spanned by
 pairwise products of kernel basis vectors, and quotients are compared purely
-through Smith normal form invariant factors.  The comparison maps into the
-closed-form module go through explicit representatives, so the divided-power
-structure is exercised on actual elements rather than formulas.
+through Smith normal form invariant factors.  The fold map is the only DP map
+evaluated generically (``dp_map_apply``); the coproduct inclusions send
+generators to distinct generators, so they just renumber each monomial, and
+``cokernel_factors`` runs Smith only on the non-unit-pivot core of the
+relation HNF.  The comparison maps into the closed-form module go through
+explicit representatives, so the divided-power structure is exercised on
+actual elements rather than formulas.
 """
 
 import random
@@ -15,6 +19,7 @@ from itertools import combinations_with_replacement
 
 from .coeff import ZZ, primes_up_to
 from .dpcore import (
+    DPElement,
     basis_of_weight,
     basis_up_to,
     coordinates,
@@ -45,20 +50,29 @@ from .report import CheckReport
 
 @dataclass
 class Coproduct:
-    """A ∐ B realized as the free algebra on the concatenated generators."""
+    """A ∐ B realized as the free algebra on the concatenated generators.
+
+    The inclusions send generator i of A to generator i, and generator i of B
+    to generator ``left.generator_count + i``.  On distinct generators a DP map
+    of that kind takes each monomial to the renumbered monomial, so they are
+    computed by renumbering rather than by evaluating the map.
+    """
 
     spec: object
     left: object
     right: object
 
     def include_left(self, a):
-        images = [gamma_gen(self.spec, i, 1) for i in range(self.left.generator_count)]
-        return dp_map_apply(images, a)
+        return self._include(a, self.left, 0)
 
     def include_right(self, b):
-        offset = self.left.generator_count
-        images = [gamma_gen(self.spec, offset + i, 1) for i in range(self.right.generator_count)]
-        return dp_map_apply(images, b)
+        return self._include(b, self.right, self.left.generator_count)
+
+    def _include(self, element, summand, offset):
+        if element.spec != summand:
+            raise ValueError("element does not lie in that coproduct summand")
+        terms = {tuple((gen + offset, e) for gen, e in mono): c for mono, c in element.terms.items()}
+        return DPElement(self.spec, terms)
 
     def component(self, mono):
         """Which coproduct summand a basis monomial lies in."""

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from dpalg.coeff import Ring, ZZ
 from dpalg.cli import element_from_json, element_to_json, omega_to_json, run
 from dpalg.dpcore import free_spec, gamma_gen, random_element
@@ -114,6 +116,25 @@ def test_check_rejects_options_the_suite_does_not_take(capsys):
         assert code == 2, (suite, flags)
         assert "unrecognized arguments" in err or "does not take" in err
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "x1"),
+        ("gamma", "2", "x1"),
+        ("diff", "x1"),
+        ("omega-basis",),
+        ("indec",),
+        ("oracle-omega",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_refused_outside_check(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--seed", "5")
+    assert code == 2
+    assert "unrecognized arguments: --seed" in err
+    assert out == ""
 
 
 def test_check_honours_suite_options(capsys):

@@ -103,6 +103,74 @@ def test_cokernel_factors():
     assert cokernel_factors(2, [], ZZ, column_annihilators=[2, 0]) == (2, 0)
 
 
+def _reference_cokernel_factors(ncols, rows, ring, column_annihilators=None):
+    """The full Smith step over the Hermite form, with no unit pivots split off."""
+    rows = [list(r) for r in rows]
+    for j, d in enumerate(column_annihilators or ()):
+        if d:
+            rows.append([d if i == j else 0 for i in range(ncols)])
+    if ring.modulus:
+        rows.extend([ring.modulus if i == j else 0 for i in range(ncols)] for j in range(ncols))
+    diagonal = smith_diagonal(hermite_form(rows, ncols), ncols)
+    chain = [d for d in diagonal if d != 1]
+    chain.extend([0] * (ncols - len(diagonal)))
+    return tuple(chain)
+
+
+def _mostly_unit_rows(rng, n):
+    """Unit upper-triangular rows with a few non-unit pivots, then row mixing."""
+    rows = []
+    for i in range(n):
+        row = [0] * i + [rng.choice([1, 1, 1, 2, 3, 4])] + [rng.randint(-3, 3) for _ in range(n - i - 1)]
+        rows.append(row)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_unit_pivot_split_matches_full_smith():
+    rng = random.Random(17)
+    units_seen = cores_seen = 0
+    for trial in range(240):
+        n = rng.randint(2, 7)
+        kind = trial % 3
+        if kind == 0:  # full rank, with extra rows
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n + rng.randint(0, 3))]
+        elif kind == 1:  # rank deficient: combinations of fewer base rows
+            base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+            rows = [
+                [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(n)]
+                for _ in range(rng.randint(0, n + 2))
+            ]
+        else:
+            rows = _mostly_unit_rows(rng, n)
+        ring = rng.choice([ZZ, ZZ, Ring(6)])
+        anns = [rng.choice([0, 0, 2, 3, 4]) for _ in range(n)] if rng.random() < 0.3 else None
+        expected = _reference_cokernel_factors(n, rows, ring, anns)
+        assert cokernel_factors(n, rows, ring, column_annihilators=anns) == expected, (rows, ring, anns)
+        hnf = hermite_form(rows, n)
+        units = sum(row[p] == 1 for p, row in zip(hnf.pivots, hnf))
+        units_seen += units > 0
+        cores_seen += units < len(hnf)
+    assert units_seen > 100 and cores_seen > 60
+
+
+def test_unit_pivot_split_edge_cases():
+    # Every pivot a unit: nothing is left.
+    assert cokernel_factors(3, [[1, 2, 3], [0, 1, 5], [0, 0, 1]], ZZ) == ()
+    # No rows: every column is free.
+    assert cokernel_factors(3, [], ZZ) == (0, 0, 0)
+    # One unit pivot splits off; the core [[2, 1]] has Smith form [1].
+    assert cokernel_factors(3, [[1, 0, 3], [0, 2, 1]], ZZ) == (0,)
+    # A non-unit pivot with a nonzero entry above it stays in the core.
+    rows = [[1, 1, 0], [0, 2, 0]]
+    hnf = hermite_form(rows, 3)
+    assert hnf.pivots == (0, 1) and hnf[0][1] == 1
+    assert cokernel_factors(3, rows, ZZ) == (2, 0)
+
+
 def test_invariant_factor_chain():
     assert invariant_factor_chain([0, 2, 3], ZZ) == (6, 0)
     assert invariant_factor_chain([2, 2, 3], ZZ) == (2, 6)

@@ -39,6 +39,46 @@ def test_coproduct_spec_and_inclusions():
         coproduct(RANK1, free_spec(Ring(5), 1, 6))
 
 
+@pytest.mark.parametrize("ring", [ZZ, Ring(6)], ids=["Z", "Z/6"])
+def test_inclusions_match_the_dp_map_on_generators(ring):
+    rng = random.Random(11)
+    # Equal ranks 1-3, and weights (1, 2) beside a rank-1 summand of lower
+    # truncation, so both the offset and the truncation cut show.
+    for a_spec, b_spec in (
+        (free_spec(ring, 1, 6), free_spec(ring, 1, 6)),
+        (free_spec(ring, 2, 5), free_spec(ring, 2, 5)),
+        (free_spec(ring, 3, 4), free_spec(ring, 3, 4)),
+        (free_spec(ring, 2, 6, weights=(1, 2)), free_spec(ring, 1, 4)),
+    ):
+        co = coproduct(a_spec, b_spec)
+        offset = a_spec.generator_count
+        left_images = [gamma_gen(co.spec, i, 1) for i in range(a_spec.generator_count)]
+        right_images = [gamma_gen(co.spec, offset + i, 1) for i in range(b_spec.generator_count)]
+        for _ in range(40):
+            a = random_element(a_spec, rng, max_terms=4)
+            b = random_element(b_spec, rng, max_terms=4)
+            assert co.include_left(a) == dp_map_apply(left_images, a)
+            assert co.include_right(b) == dp_map_apply(right_images, b)
+
+
+def test_inclusions_refuse_elements_of_the_wrong_summand():
+    a_spec = free_spec(ZZ, 2, 5, weights=(1, 2))
+    b_spec = free_spec(ZZ, 1, 5)
+    co = coproduct(a_spec, b_spec)
+    from_a = gamma_gen(a_spec, 1, 1)
+    from_b = gamma_gen(b_spec, 0, 2)
+    other_ring = gamma_gen(free_spec(Ring(6), 2, 5, weights=(1, 2)), 0, 1)
+    for include, element in (
+        (co.include_left, from_b),
+        (co.include_right, from_a),
+        (co.include_left, other_ring),
+        (co.include_left, gamma_gen(co.spec, 0, 1)),
+        (co.include_right, gamma_gen(co.spec, 2, 1)),
+    ):
+        with pytest.raises(ValueError):
+            include(element)
+
+
 def test_coproduct_weight2_component_split():
     co = coproduct(RANK1, RANK1)
     split = [co.component(m) for m in basis_of_weight(co.spec, 2)]
