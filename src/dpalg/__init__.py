@@ -27,12 +27,11 @@ from .dpcore import (
     weight_components,
 )
 from .envelope import (
-    EnvelopeElement,
+    UElement,
     UNIT,
     env_algebra,
     env_phi,
     env_unit,
-    envelope_mul,
     phi_of,
     u0_basis_up_to,
 )
@@ -40,13 +39,11 @@ from .beck import (
     SemidirectElement,
     UModule,
     semidirect_gamma,
-    semidirect_mul,
     verify_abelian_structure,
     verify_beck_axioms,
 )
 from .kahler import (
-    OmegaElement,
-    format_omega,
+    free_basis,
     indecomposables,
     is_dp_derivation,
     omega_free_basis,
@@ -54,11 +51,10 @@ from .kahler import (
     presentation_of_omega,
     universal_derivation,
 )
-from .linalg import IntegerMatrix, invariant_factor_chain, smith_normal_form
+from .linalg import invariant_factor_chain, smith_diagonal
 from .oracle import (
     coproduct,
     fold_kernel,
-    i_mod_i_squared,
     verify_indecomposables,
     verify_main_theorem,
 )
@@ -66,11 +62,9 @@ from .oracle import (
 __all__ = [
     "AlgebraSpec",
     "DPElement",
-    "EnvelopeElement",
-    "IntegerMatrix",
-    "OmegaElement",
     "Ring",
     "SemidirectElement",
+    "UElement",
     "UModule",
     "UNIT",
     "ZZ",
@@ -83,16 +77,14 @@ __all__ = [
     "env_algebra",
     "env_phi",
     "env_unit",
-    "envelope_mul",
     "fold_kernel",
     "format_element",
-    "format_omega",
+    "free_basis",
     "free_spec",
     "gamma_compose_coeff",
     "gamma_gen",
     "gamma_product_coeff",
     "gcd_middle_binomials",
-    "i_mod_i_squared",
     "indecomposables",
     "invariant_factor_chain",
     "is_dp_derivation",
@@ -102,8 +94,7 @@ __all__ = [
     "presentation_of_omega",
     "scalar_pow",
     "semidirect_gamma",
-    "semidirect_mul",
-    "smith_normal_form",
+    "smith_diagonal",
     "u0_basis_up_to",
     "universal_derivation",
     "verify_abelian_structure",

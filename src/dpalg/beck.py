@@ -244,10 +244,6 @@ class SemidirectElement:
         return f"<SemidirectElement {self}>"
 
 
-def semidirect_mul(u, v):
-    return u * v
-
-
 def semidirect_gamma(n, u):
     """gamma_n(a, x) = (gamma_n a, phi_n x + sum_{i+j=n} gamma_i(a) phi_j(x))."""
     if n < 1:
@@ -262,50 +258,20 @@ def semidirect_gamma(n, u):
     return SemidirectElement(mod, divided_power(n, u.a), vec)
 
 
-class SemidirectArith:
-    """Adapter running the generic DP axiom suite on A (+) M."""
-
-    def __init__(self, module, max_terms=2, coeff_bound=9):
-        self.module = module
-        self.ring = module.spec.ring
-        self.max_terms = max_terms
-        self.coeff_bound = coeff_bound
-
-    def random_element(self, rng):
-        a = random_element(self.module.spec, rng, self.max_terms, self.coeff_bound)
-        return SemidirectElement(self.module, a, self.module.random_vec(rng, self.coeff_bound))
-
-    def random_scalar(self, rng):
-        return self.ring.normalize(rng.randint(-self.coeff_bound, self.coeff_bound))
-
-    @staticmethod
-    def add(u, v):
-        return u + v
-
-    @staticmethod
-    def mul(u, v):
-        return u * v
-
-    @staticmethod
-    def gamma(n, u):
-        return semidirect_gamma(n, u)
-
-    @staticmethod
-    def scale(c, u):
-        return u.scale(c)
-
-    @staticmethod
-    def describe(u):
-        return str(u)
-
-
 def verify_beck_axioms(module, samples=200, seed=0, max_index=6):
     """Run the full DP axiom suite on the semidirect extension A (+) M."""
+
+    def sample(rng):
+        a = random_element(module.spec, rng, max_terms=2)
+        return SemidirectElement(module, a, module.random_vec(rng))
+
     return dp_axiom_report(
-        SemidirectArith(module),
-        samples=samples,
-        seed=seed,
-        max_index=max_index,
+        module.spec.ring,
+        sample,
+        semidirect_gamma,
+        samples,
+        seed,
+        max_index,
         title=f"Beck module axioms over {module.spec.ring} (rank {module.rank})",
     )
 

@@ -21,12 +21,7 @@ import sys
 from .coeff import Ring, ZZ
 from .dpcore import AlgebraSpec, DPElement, divided_power, format_element
 from .envelope import UNIT
-from .kahler import (
-    format_omega,
-    indecomposables,
-    omega_free_basis,
-    universal_derivation,
-)
+from .kahler import indecomposables, omega_free_basis, universal_derivation
 from .oracle import verify_indecomposables, verify_main_theorem
 from .parser import EvalError, ParseError, parse_and_evaluate
 from .suites import SUITES
@@ -60,33 +55,21 @@ def element_from_json(data, spec):
 
 
 def omega_to_json(element):
-    spec = element.spec
-    terms = []
-    for gen in sorted(element.terms):
-        env = element.terms[gen]
-        for phi, aug in env.sorted_terms():
-            phi_json = "unit" if phi == UNIT else [phi[0], phi[1]]
-            if aug.scalar:
-                terms.append(
-                    {
-                        "coeff": str(aug.scalar),
-                        "monomial": [],
-                        "dx": gen + 1,
-                        "phi": phi_json,
-                        "aug_scalar": str(aug.scalar),
-                    }
-                )
-            for mono, c in aug.alg.sorted_terms():
-                terms.append(
-                    {
-                        "coeff": str(c),
-                        "monomial": [[g + 1, e] for g, e in mono],
-                        "dx": gen + 1,
-                        "phi": phi_json,
-                        "aug_scalar": "0",
-                    }
-                )
-    return {"ring": ring_to_json(spec.ring), "trunc": spec.truncation, "terms": terms}
+    terms = [
+        {
+            "coeff": str(c),
+            "monomial": [] if amono is None else [[g + 1, e] for g, e in amono],
+            "dx": label[0][0] + 1,
+            "phi": _phi_to_json(phi),
+            "aug_scalar": str(c) if amono is None else "0",
+        }
+        for (label, phi, amono), c in element.sorted_terms()
+    ]
+    return {"ring": ring_to_json(element.spec.ring), "trunc": element.spec.truncation, "terms": terms}
+
+
+def _phi_to_json(phi):
+    return "unit" if phi == UNIT else [phi[0], phi[1]]
 
 
 def parse_ring(text):
@@ -197,7 +180,7 @@ def run(argv):
                 element = divided_power(args.n, element)
             if args.command == "diff":
                 omega = universal_derivation(element)
-                print(json.dumps(omega_to_json(omega), indent=2) if args.json else format_omega(omega))
+                print(json.dumps(omega_to_json(omega), indent=2) if args.json else omega)
             else:
                 print(
                     json.dumps(element_to_json(element), indent=2)
@@ -216,8 +199,8 @@ def run(argv):
                     "weights": {
                         str(w): [
                             {
-                                "dx": e.gen + 1,
-                                "phi": "unit" if e.phi == UNIT else [e.phi[0], e.phi[1]],
+                                "dx": e.label[0][0] + 1,
+                                "phi": _phi_to_json(e.phi),
                                 "monomial": [] if e.amono is None else [[g + 1, x] for g, x in e.amono],
                                 "annihilator": e.annihilator,
                             }
@@ -230,7 +213,7 @@ def run(argv):
             else:
                 for w in sorted(slices):
                     entries = ", ".join(
-                        f"{e.label()} [{'free' if e.annihilator == 0 else f'ann {e.annihilator}'}]"
+                        f"{e} [{'free' if e.annihilator == 0 else f'ann {e.annihilator}'}]"
                         for e in slices[w]
                     )
                     print(f"w={w}: {entries if entries else '(nothing)'}")

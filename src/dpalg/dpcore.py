@@ -59,7 +59,7 @@ def free_spec(ring, generators, truncation, weights=None):
     return AlgebraSpec(ring, tuple(weights), truncation)
 
 
-def _mono_mul(a, b):
+def mono_mul(a, b):
     """Merge two monomials; returns (integer coefficient, merged monomial).
 
     Shared generators collapse by gamma_e * gamma_f = C(e+f, e) gamma_{e+f}.
@@ -161,7 +161,7 @@ class DPElement:
             for mb, cb in other.terms.items():
                 if wa + spec.monomial_weight(mb) > cap:
                     continue
-                binom, mono = _mono_mul(ma, mb)
+                binom, mono = mono_mul(ma, mb)
                 c = ring.normalize(ca * cb * binom)
                 if c == 0:
                     continue
@@ -268,7 +268,7 @@ def divided_power(n, element):
                 assign(k + 1, left, coeff, mono, weight)
                 continue
             gcoeff, gmono = _gamma_monomial(nk, mono_k)
-            binom, merged = _mono_mul(mono, gmono)
+            binom, merged = mono_mul(mono, gmono)
             assign(
                 k + 1,
                 left - nk,
@@ -397,100 +397,65 @@ def random_element(spec, rng, max_terms=3, coeff_bound=9, max_weight=None):
     return DPElement(spec, terms)
 
 
-class ElementArith:
-    """Adapter exposing DPElement arithmetic to the generic axiom checker."""
-
-    def __init__(self, spec, max_terms=3, coeff_bound=9):
-        self.spec = spec
-        self.ring = spec.ring
-        self.max_terms = max_terms
-        self.coeff_bound = coeff_bound
-
-    def random_element(self, rng):
-        return random_element(self.spec, rng, self.max_terms, self.coeff_bound)
-
-    def random_scalar(self, rng):
-        return self.ring.normalize(rng.randint(-self.coeff_bound, self.coeff_bound))
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def gamma(n, a):
-        return divided_power(n, a)
-
-    @staticmethod
-    def scale(c, a):
-        return a.scale(c)
-
-    @staticmethod
-    def describe(a):
-        return str(a)
-
-
-def dp_axiom_report(arith, samples, seed, max_index=5, title=None):
+def dp_axiom_report(ring, sample, gamma, samples, seed, max_index=5, title=None):
     """Randomized check of the five divided-power axiom families.
 
-    ``arith`` is any adapter with the ElementArith interface, so the same
-    suite runs on algebra elements and on semidirect extensions A (+) M.
+    ``sample(rng)`` draws an element and ``gamma(n, a)`` is the divided power;
+    elements support ``+``, ``*``, ``.scale`` and ``str``.  So the same suite
+    runs on algebra elements, on semidirect extensions A (+) M and on direct
+    products.
     """
     import random
 
     rng = random.Random(seed)
-    ring = arith.ring
     report = CheckReport(title or f"DP axioms ({samples} samples, seed {seed})")
 
     def power(a, n):
         result = a
         for _ in range(n - 1):
-            result = arith.mul(result, a)
+            result = result * a
         return result
 
     for _ in range(samples):
-        a = arith.random_element(rng)
-        b = arith.random_element(rng)
-        r = arith.random_scalar(rng)
+        a = sample(rng)
+        b = sample(rng)
+        r = ring.normalize(rng.randint(-9, 9))
         n = rng.randint(1, max_index)
         m = rng.randint(1, max_index)
-        ctx = f"a={arith.describe(a)}, b={arith.describe(b)}, r={r}, n={n}, m={m}"
+        ctx = f"a={a}, b={b}, r={r}, n={n}, m={m}"
 
-        report.check("gamma_1 = id", arith.gamma(1, a), a, ctx)
+        report.check("gamma_1 = id", gamma(1, a), a, ctx)
 
         # ambient algebra laws (the Definition presupposes them)
-        report.check("mul is commutative", arith.mul(a, b), arith.mul(b, a), ctx)
+        report.check("mul is commutative", a * b, b * a, ctx)
         report.check(
             "mul distributes over addition",
-            arith.mul(a, arith.add(b, arith.gamma(n, b))),
-            arith.add(arith.mul(a, b), arith.mul(a, arith.gamma(n, b))),
+            a * (b + gamma(n, b)),
+            a * b + a * gamma(n, b),
             ctx,
         )
 
-        lhs = arith.gamma(n, arith.add(a, b))
-        rhs = arith.add(arith.gamma(n, a), arith.gamma(n, b)) if n > 1 else arith.add(a, b)
+        lhs = gamma(n, a + b)
+        rhs = gamma(n, a) + gamma(n, b) if n > 1 else a + b
         if n > 1:
             for i in range(1, n):
-                rhs = arith.add(rhs, arith.mul(arith.gamma(i, a), arith.gamma(n - i, b)))
+                rhs = rhs + gamma(i, a) * gamma(n - i, b)
         report.check("gamma_n(a+b) addition rule", lhs, rhs, ctx)
 
-        lhs = arith.gamma(n, arith.mul(a, b))
-        rhs = arith.mul(power(a, n), arith.gamma(n, b)) if n > 1 else arith.mul(a, b)
+        lhs = gamma(n, a * b)
+        rhs = power(a, n) * gamma(n, b) if n > 1 else a * b
         report.check("gamma_n(ab) = a^n gamma_n(b)", lhs, rhs, ctx)
 
-        lhs = arith.gamma(n, arith.scale(r, b))
-        rhs = arith.scale(ring.pow(r, n), arith.gamma(n, b))
+        lhs = gamma(n, b.scale(r))
+        rhs = gamma(n, b).scale(ring.pow(r, n))
         report.check("gamma_n(rb) = r^n gamma_n(b)", lhs, rhs, ctx)
 
-        lhs = arith.mul(arith.gamma(m, a), arith.gamma(n, a))
-        rhs = arith.scale(ring.normalize(comb(m + n, m)), arith.gamma(m + n, a))
+        lhs = gamma(m, a) * gamma(n, a)
+        rhs = gamma(m + n, a).scale(ring.normalize(comb(m + n, m)))
         report.check("product rule gamma_m gamma_n", lhs, rhs, ctx)
 
-        lhs = arith.gamma(m, arith.gamma(n, a))
-        rhs = arith.scale(ring.normalize(gamma_compose_coeff(m, n)), arith.gamma(m * n, a))
+        lhs = gamma(m, gamma(n, a))
+        rhs = gamma(m * n, a).scale(ring.normalize(gamma_compose_coeff(m, n)))
         report.check("composition rule gamma_m(gamma_n)", lhs, rhs, ctx)
 
     return report

@@ -1,21 +1,30 @@
-"""The bimodule-algebras U(0) and U(A) = A_+ (x) U(0) in canonical form.
+"""U(A) = A_+ (x) U(0) and its free left modules, as one sparse element type.
 
 U(0) is generated over the base ring by operators phi_p, one per prime, with
 p*phi_p = 0 and the twist phi_p r = r^p phi_p.  A phi-monomial is the unit
 (the empty tuple) or (p, e) standing for phi_p^e; phi-monomials of distinct
-primes multiply to zero, so those are the only canonical forms.  Coefficients
-of phi_p^e are kept reduced mod p (mod gcd(p, m) over Z/m, hence dropped
-whenever p is invertible).
+primes multiply to zero, so those are the only canonical forms.
 
-Scalars do not commute past phi-monomials in general; an EnvelopeElement
-stores its A_+ coefficient on the left of each phi-monomial, and products
-route right-hand scalars through the twist.
+A UElement lies in a free left U(A)-module whose basis labels are monomials
+of A, a label weighing what the monomial weighs:
+
+- the label () (weight 0) spans U(A) itself;
+- ((i, 1),) is dx_i, so these labels span Omega = U(A) (x) V;
+- any monomial b is [b], so all monomials span the ambient U(A) (x) A.
+
+The element maps keys (label, phi, amono) to coefficients, the key standing
+for (amono (x) phi) (x) [label] with amono None the unit of A_+.  A term
+weighs w(amono) + deg(phi) * w(label) and is dropped past the truncation.
+Coefficients of phi_p^e are kept reduced mod p (mod gcd(p, m) over Z/m, hence
+dropped whenever p is invertible).  Scalars do not commute past
+phi-monomials: each coefficient sits on the left, and products route
+right-hand scalars through the twist.
 """
 
 from math import gcd
 
 from .coeff import prime_power_decomposition, prime_powers_up_to
-from .dpcore import DPElement, zero as algebra_zero
+from .dpcore import format_monomial, mono_mul, monomial_sort_key
 
 UNIT = ()
 
@@ -67,109 +76,63 @@ def format_phi(phi):
     return f"ph{p}" if e == 1 else f"ph{p}^{e}"
 
 
-class Aug:
-    """An element of A_+ = A (+) R: an algebra part and a scalar part."""
-
-    __slots__ = ("scalar", "alg")
-
-    def __init__(self, scalar, alg):
-        self.alg = alg
-        self.scalar = alg.spec.ring.normalize(scalar)
-
-    @property
-    def spec(self):
-        return self.alg.spec
-
-    def is_zero(self):
-        return self.scalar == 0 and self.alg.is_zero()
-
-    def __add__(self, other):
-        return Aug(self.scalar + other.scalar, self.alg + other.alg)
-
-    def __neg__(self):
-        return Aug(-self.scalar, -self.alg)
-
-    def scale(self, c):
-        return Aug(self.spec.ring.mul(self.scalar, c), self.alg.scale(c))
-
-    def __mul__(self, other):
-        """Unitalization product: (a + r)(b + s) = (ab + sa + rb) + rs."""
-        alg = self.alg * other.alg + self.alg.scale(other.scalar) + other.alg.scale(self.scalar)
-        return Aug(self.spec.ring.mul(self.scalar, other.scalar), alg)
-
-    def reduce_mod(self, d):
-        """Image in A_+/d (coefficients taken mod d > 0)."""
-        return Aug(self.scalar % d, DPElement(self.spec, {m: c % d for m, c in self.alg.terms.items()}))
-
-    def __eq__(self, other):
-        return isinstance(other, Aug) and self.scalar == other.scalar and self.alg == other.alg
-
-    def __hash__(self):
-        return hash((self.scalar, self.alg))
-
-    def __str__(self):
-        if self.alg.is_zero():
-            return str(self.scalar)
-        if self.scalar == 0:
-            return str(self.alg)
-        return f"{self.alg} + {self.scalar}"
-
-    def __repr__(self):
-        return f"<Aug {self}>"
+def term_weight(spec, key):
+    """w(amono) + deg(phi) * w(label) of the basis element ``key``."""
+    label, phi, amono = key
+    base = phi_degree(phi) * spec.monomial_weight(label)
+    return base if amono is None else base + spec.monomial_weight(amono)
 
 
-def aug_zero(spec):
-    return Aug(0, algebra_zero(spec))
+def format_term(key):
+    """amono*phi*label, omitting unit parts; dx_i for the label x_i, d[b] else."""
+    label, phi, amono = key
+    factors = [] if amono is None else [format_monomial(amono)]
+    if phi != UNIT:
+        factors.append(format_phi(phi))
+    if len(label) == 1 and label[0][1] == 1:
+        factors.append(f"dx{label[0][0] + 1}")
+    elif label:
+        factors.append(f"d[{format_monomial(label)}]")
+    return "*".join(factors)
 
 
-def aug_scalar(spec, r):
-    return Aug(r, algebra_zero(spec))
+def _reduce(ring, phi, c):
+    return ring.normalize(c) if phi == UNIT else c % phi_coefficient_modulus(ring, phi[0])
 
 
-def aug_algebra(a):
-    return Aug(0, a)
-
-
-class EnvelopeElement:
-    """An element of U(A): a map from phi-monomials to A_+ coefficients."""
+class UElement:
+    """An element of U(A) or of a free left U(A)-module on monomial labels."""
 
     __slots__ = ("spec", "terms")
 
     def __init__(self, spec, terms=None):
+        """The canonical form of ``terms``: truncated, reduced, zero-free."""
         self.spec = spec
         self.terms = {}
-        if terms:
-            for phi, aug in terms.items():
-                aug = self._canonical_aug(spec, phi, aug)
-                if not aug.is_zero():
-                    self.terms[phi] = aug
-
-    @staticmethod
-    def _canonical_aug(spec, phi, aug):
-        if phi == UNIT:
-            return aug
-        modulus = phi_coefficient_modulus(spec.ring, phi[0])
-        if modulus == 1:
-            return aug_zero(spec)
-        return aug.reduce_mod(modulus)
+        for key, c in (terms or {}).items():
+            if term_weight(spec, key) <= spec.truncation:
+                c = _reduce(spec.ring, key[1], c)
+                if c:
+                    self.terms[key] = c
 
     def is_zero(self):
         return not self.terms
 
     def _require_same(self, other):
         if self.spec != other.spec:
-            raise ValueError("envelope elements live over different algebras")
+            raise ValueError("elements live over different algebras")
 
     def __add__(self, other):
         self._require_same(other)
+        ring = self.spec.ring
         out = dict(self.terms)
-        for phi, aug in other.terms.items():
-            merged = out.get(phi, aug_zero(self.spec)) + aug
-            merged = self._canonical_aug(self.spec, phi, merged)
-            if merged.is_zero():
-                out.pop(phi, None)
-            else:
-                out[phi] = merged
+        for key, c in other.terms.items():
+            if key in out:
+                c = _reduce(ring, key[1], out[key] + c)
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
         return self._raw(self.spec, out)
 
     def __neg__(self):
@@ -179,60 +142,104 @@ class EnvelopeElement:
         return self + (-other)
 
     def scale(self, c):
+        ring = self.spec.ring
         out = {}
-        for phi, aug in self.terms.items():
-            scaled = self._canonical_aug(self.spec, phi, aug.scale(c))
-            if not scaled.is_zero():
-                out[phi] = scaled
+        for key, v in self.terms.items():
+            v = _reduce(ring, key[1], v * c)
+            if v:
+                out[key] = v
         return self._raw(self.spec, out)
 
     def __mul__(self, other):
-        """The twisted product of U(A) = A_+ (x) U(0).
+        """The twisted product of U(A), which is also its action on modules.
 
-        (c (x) unit) * (d (x) nu)      = c*d (x) nu
+        (c (x) unit) * (d (x) nu)      = c*d (x) nu      (product in A_+)
         (c (x) mu)   * ((b, s) (x) nu) = c * s^(deg mu) (x) mu*nu   for mu != unit
-        (phi-monomials of distinct primes multiply to zero.)
+
+        where b is the algebra part and s the scalar part of the A_+
+        coefficient; phi-monomials of distinct primes multiply to zero.  The
+        left factor must lie in U(A); each right term keeps its label.
         """
         self._require_same(other)
-        spec = self.spec
-        result = {}
-        for phi_u, aug_u in self.terms.items():
-            for phi_v, aug_v in other.terms.items():
-                if phi_u == UNIT:
-                    phi, aug = phi_v, aug_u * aug_v
-                else:
-                    phi = phi_mul(phi_u, phi_v)
+        if any(label for label, _, _ in self.terms):
+            raise ValueError("the left factor of a product must lie in U(A)")
+        ring = self.spec.ring
+        out = {}
+        for (_, mu, c_mono), c in self.terms.items():
+            for (label, nu, d_mono), d in other.terms.items():
+                if mu == UNIT:
+                    if c_mono is None or d_mono is None:
+                        key, coeff = (label, nu, c_mono or d_mono), c * d
+                    else:
+                        binom, mono = mono_mul(c_mono, d_mono)
+                        key, coeff = (label, nu, mono), c * d * binom
+                elif d_mono is None:
+                    phi = phi_mul(mu, nu)
                     if phi is None:
                         continue
-                    twist = spec.ring.pow(aug_v.scalar, phi_degree(phi_u))
-                    aug = aug_u.scale(twist)
-                aug = self._canonical_aug(spec, phi, result.get(phi, aug_zero(spec)) + aug)
-                if aug.is_zero():
-                    result.pop(phi, None)
+                    key, coeff = (label, phi, c_mono), c * ring.pow(d, phi_degree(mu))
                 else:
-                    result[phi] = aug
-        return self._raw(spec, result)
+                    continue
+                out[key] = out.get(key, 0) + coeff
+        return UElement(self.spec, out)
+
+    def act_algebra(self, a):
+        """Left action of a in A (multiplication by a (x) unit)."""
+        return env_algebra(a) * self
+
+    def act_phi(self, p, e=1):
+        return env_phi(self.spec, p, e) * self
+
+    def act_phi_n(self, n):
+        """Action of phi_n: identity for n=1, phi_p^e for n=p^e, zero else."""
+        phi = phi_of(n)
+        if phi is None:
+            return UElement(self.spec)
+        return self if phi == UNIT else self.act_phi(*phi)
+
+    def weight(self):
+        """The common weight of all stored terms (None when zero)."""
+        weights = {term_weight(self.spec, key) for key in self.terms}
+        if len(weights) > 1:
+            raise ValueError(f"inhomogeneous element, weights {sorted(weights)}")
+        return weights.pop() if weights else None
+
+    def sorted_terms(self):
+        """Terms by label, then phi, then the A_+ part (unit first)."""
+
+        def order(item):
+            label, phi, amono = item[0]
+            mono_key = (0,) if amono is None else (1, monomial_sort_key(self.spec, amono))
+            return (label, phi_sort_key(phi), mono_key)
+
+        return sorted(self.terms.items(), key=order)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, EnvelopeElement)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
+        return isinstance(other, UElement) and self.spec == other.spec and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.spec, frozenset(self.terms.items())))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: phi_sort_key(kv[0]))
-
     def __str__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
-        return " + ".join(f"({aug})*{format_phi(phi)}" for phi, aug in self.sorted_terms())
+        text = ""
+        for key, c in self.sorted_terms():
+            negative = self.spec.ring.modulus == 0 and c < 0
+            mag = -c if negative else c
+            body = format_term(key)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            if text:
+                text += (" - " if negative else " + ") + body
+            else:
+                text = ("-" if negative else "") + body
+        return text
 
     def __repr__(self):
-        return f"<EnvelopeElement {self}>"
+        return f"<UElement {self}>"
 
     @classmethod
     def _raw(cls, spec, terms):
@@ -242,24 +249,16 @@ class EnvelopeElement:
         return el
 
 
-def env_zero(spec):
-    return EnvelopeElement(spec)
-
-
 def env_unit(spec, scalar=1):
-    return EnvelopeElement(spec, {UNIT: aug_scalar(spec, scalar)})
+    return UElement(spec, {((), UNIT, None): scalar})
 
 
 def env_algebra(a):
-    return EnvelopeElement(a.spec, {UNIT: aug_algebra(a)})
+    return UElement(a.spec, {((), UNIT, m): c for m, c in a.terms.items()})
 
 
 def env_phi(spec, p, e=1, scalar=1):
-    return EnvelopeElement(spec, {(p, e): aug_scalar(spec, scalar)})
-
-
-def envelope_mul(u, v):
-    return u * v
+    return UElement(spec, {((), (p, e), None): scalar})
 
 
 def u0_basis_up_to(degree_cap, ring):

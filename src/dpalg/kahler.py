@@ -14,9 +14,11 @@ coefficients.  The universal derivation acts on a single divided power by
 (gamma_0 meaning the unit of A_+) and extends by the Leibniz rule across
 factors and by linearity.
 
-The same machinery, with basis labels running over algebra monomials instead
-of generators, realizes the ambient module U(A) (x) A of the relation
-presentation Omega = (U(A) (x) A)/S.
+Elements of Omega are envelope.UElement values on the labels dx_i =
+((i, 1),).  The ambient module U(A) (x) A of the relation presentation
+Omega = (U(A) (x) A)/S is the same type with every monomial as a label, so one
+basis builder (free_basis) and one coordinates function (omega_coordinates)
+serve both.
 """
 
 import random
@@ -24,26 +26,20 @@ from dataclasses import dataclass
 
 from .coeff import prime_power_decomposition, prime_powers_up_to, primes_up_to
 from .dpcore import (
-    DPElement,
-    basis_of_weight,
     basis_up_to,
+    coordinates,
     divided_power,
-    format_monomial,
     from_terms,
-    monomial_sort_key,
+    position_index,
     random_element,
 )
 from .envelope import (
     UNIT,
-    Aug,
-    EnvelopeElement,
-    aug_algebra,
-    aug_scalar,
-    env_algebra,
-    env_phi,
-    format_phi,
+    UElement,
+    format_term,
     phi_coefficient_modulus,
     phi_degree,
+    phi_of,
     phi_sort_key,
 )
 from .beck import UModule
@@ -51,208 +47,64 @@ from .linalg import smith_diagonal
 from .report import CheckReport
 
 
-def _truncate_env(spec, env, base_weight):
-    """Drop the parts of an envelope coefficient that overflow the truncation.
-
-    ``base_weight`` is the weight of the generator (or monomial) the
-    coefficient multiplies; a term (b (x) phi) then weighs
-    w(b) + deg(phi) * base_weight.
-    """
-    cap = spec.truncation
-    out = {}
-    for phi, aug in env.terms.items():
-        phi_weight = phi_degree(phi) * base_weight
-        if phi_weight > cap:
-            continue
-        kept = {
-            m: c for m, c in aug.alg.terms.items() if spec.monomial_weight(m) + phi_weight <= cap
-        }
-        trimmed = Aug(aug.scalar, DPElement(spec, kept))
-        if not trimmed.is_zero():
-            out[phi] = trimmed
-    return EnvelopeElement(spec, out)
-
-
-class _UActionElement:
-    """Element of a left U(A)-module free on weighted labels (internal base).
-
-    Subclasses fix the label set: generator indices for Omega, algebra
-    monomials for the presentation ambient U(A) (x) A.
-    """
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec, terms=None):
-        self.spec = spec
-        self.terms = {}
-        for label, env in (terms or {}).items():
-            env = _truncate_env(spec, env, self._label_weight(spec, label))
-            if not env.is_zero():
-                self.terms[label] = env
-
-    @staticmethod
-    def _label_weight(spec, label):
-        raise NotImplementedError
-
-    def is_zero(self):
-        return not self.terms
-
-    def _require_same(self, other):
-        if self.spec != other.spec or type(self) is not type(other):
-            raise ValueError("elements live in different modules")
-
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.terms)
-        for label, env in other.terms.items():
-            merged = out.get(label)
-            merged = env if merged is None else merged + env
-            if merged.is_zero():
-                out.pop(label, None)
-            else:
-                out[label] = merged
-        return type(self)(self.spec, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return type(self)(self.spec, {lbl: env.scale(c) for lbl, env in self.terms.items()})
-
-    def act_algebra(self, a):
-        """Left action of a in A (multiplication by a (x) unit)."""
-        left = env_algebra(a)
-        return type(self)(self.spec, {lbl: left * env for lbl, env in self.terms.items()})
-
-    def act_phi(self, p, e=1):
-        left = env_phi(self.spec, p, e)
-        return type(self)(self.spec, {lbl: left * env for lbl, env in self.terms.items()})
-
-    def act_phi_n(self, n):
-        """Action of phi_n: identity for n=1, phi_p^e for n=p^e, zero else."""
-        if n == 1:
-            return self
-        decomposition = prime_power_decomposition(n)
-        if decomposition is None:
-            return type(self)(self.spec)
-        return self.act_phi(*decomposition)
-
-    def weight(self):
-        """The common weight of all stored terms (None when zero)."""
-        weights = set()
-        for label, env in self.terms.items():
-            base = self._label_weight(self.spec, label)
-            for phi, aug in env.terms.items():
-                phi_weight = phi_degree(phi) * base
-                if aug.scalar:
-                    weights.add(phi_weight)
-                for m in aug.alg.terms:
-                    weights.add(self.spec.monomial_weight(m) + phi_weight)
-        if not weights:
-            return None
-        if len(weights) > 1:
-            raise ValueError(f"inhomogeneous element, weights {sorted(weights)}")
-        return weights.pop()
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self.terms.items())))
-
-
-class OmegaElement(_UActionElement):
-    """An element of Omega = U(A) (x) V, keyed by generator index."""
-
-    @staticmethod
-    def _label_weight(spec, label):
-        return spec.weights[label]
-
-    def __str__(self):
-        return format_omega(self)
-
-    def __repr__(self):
-        return f"<OmegaElement {self}>"
-
-
-class TensorElement(_UActionElement):
-    """An element of the presentation ambient U(A) (x) A, keyed by monomial."""
-
-    @staticmethod
-    def _label_weight(spec, label):
-        return spec.monomial_weight(label)
-
-    def __repr__(self):
-        inner = ", ".join(f"{m}: {env}" for m, env in self.terms.items())
-        return f"<TensorElement {inner}>"
-
-
-def omega_zero(spec):
-    return OmegaElement(spec)
-
-
-def omega_generator(spec, gen):
-    """dx_gen = 1 (x) unit (x) dx_gen."""
-    return OmegaElement(spec, {gen: EnvelopeElement(spec, {UNIT: aug_scalar(spec, 1)})})
-
-
 @dataclass(frozen=True)
-class OmegaBasisEntry:
-    """(amono or unit) (x) phi (x) dx_gen with its Z-annihilator (0 or p)."""
+class BasisEntry:
+    """(amono or unit) (x) phi (x) [label] with its Z-annihilator (0 or p)."""
 
-    gen: int
+    label: tuple
     phi: tuple
     amono: tuple | None
     weight: int
     annihilator: int
 
-    def element(self, spec):
-        aug = aug_scalar(spec, 1) if self.amono is None else aug_algebra(from_terms(spec, {self.amono: 1}))
-        return OmegaElement(spec, {self.gen: EnvelopeElement(spec, {self.phi: aug})})
+    @property
+    def key(self):
+        return (self.label, self.phi, self.amono)
 
-    def label(self):
-        phi_part = "" if self.phi == UNIT else f"{format_phi(self.phi)}*"
-        if self.amono is None:
-            return f"{phi_part}dx{self.gen + 1}"
-        return f"{format_monomial(self.amono)}*{phi_part}dx{self.gen + 1}"
+    def element(self, spec):
+        return UElement(spec, {self.key: 1})
+
+    def __str__(self):
+        return format_term(self.key)
+
+
+def free_basis(spec, labels, phi_major):
+    """The closed-form basis of the free U(A)-module on ``labels``, per weight.
+
+    Returns dict w -> [BasisEntry].  Unit phi-part entries are free; phi_p^e
+    entries carry annihilator p and are dropped when p is invertible in the
+    coefficient ring.  A slice is ordered by (phi, label, amono) when
+    ``phi_major`` and by (label, phi, amono) otherwise, with labels in the
+    given order and the unit of A_+ before the monomials in basis order.
+    """
+    cap = spec.truncation
+    # (amono, weight) with the unit of A_+ first, then the monomials by weight.
+    amonos = [(None, 0)] + [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
+    phis = [UNIT] + [phi_of(q) for q in prime_powers_up_to(cap)]
+    keyed = {w: [] for w in range(1, cap + 1)}
+    for li, label in enumerate(labels):
+        for phi in phis:
+            if phi != UNIT and phi_coefficient_modulus(spec.ring, phi[0]) == 1:
+                continue
+            ann = 0 if phi == UNIT else phi[0]
+            rank = (phi_sort_key(phi), li) if phi_major else (li, phi_sort_key(phi))
+            base = phi_degree(phi) * spec.monomial_weight(label)
+            for position, (amono, extra) in enumerate(amonos):
+                if base + extra > cap:
+                    break
+                entry = BasisEntry(label, phi, amono, base + extra, ann)
+                keyed[base + extra].append(((*rank, position), entry))
+    return {w: [e for _, e in sorted(found, key=lambda t: t[0])] for w, found in keyed.items()}
+
+
+def generator_labels(spec):
+    """The labels dx_i of Omega = U(A) (x) V."""
+    return [((i, 1),) for i in range(spec.generator_count)]
 
 
 def omega_free_basis(spec):
-    """The closed-form basis of Omega, per weight: dict w -> [OmegaBasisEntry].
-
-    Unit phi-part entries are free; phi_p^e entries carry annihilator p and
-    are dropped when p is invertible in the coefficient ring.
-    """
-    ring = spec.ring
-    slices = {w: [] for w in range(1, spec.truncation + 1)}
-    phis = [(UNIT, 0)] + [
-        (prime_power_decomposition(q), prime_power_decomposition(q)[0])
-        for q in prime_powers_up_to(spec.truncation)
-    ]
-    for phi, ann in sorted(phis, key=lambda t: phi_sort_key(t[0])):
-        if phi != UNIT and phi_coefficient_modulus(ring, phi[0]) == 1:
-            continue
-        for gen in range(spec.generator_count):
-            base = phi_degree(phi) * spec.weights[gen]
-            if base > spec.truncation:
-                continue
-            slices[base].append(OmegaBasisEntry(gen, phi, None, base, ann))
-            for extra in range(1, spec.truncation - base + 1):
-                for mono in basis_of_weight(spec, extra):
-                    slices[base + extra].append(
-                        OmegaBasisEntry(gen, phi, mono, base + extra, ann)
-                    )
-    order = {m: i for i, m in enumerate(basis_up_to(spec))}
-    for w in slices:
-        slices[w].sort(key=lambda e: (phi_sort_key(e.phi), e.gen, -1 if e.amono is None else order[e.amono]))
-    return slices
+    """The closed-form basis of Omega, per weight: dict w -> [BasisEntry]."""
+    return free_basis(spec, generator_labels(spec), phi_major=True)
 
 
 def omega_basis_all(spec):
@@ -263,49 +115,36 @@ def omega_basis_all(spec):
     return out
 
 
-def omega_coordinates(element, entries):
-    """Coordinates over basis entries; raises if the element is not covered."""
-    index = {}
-    for i, entry in enumerate(entries):
-        index[(entry.gen, entry.phi, entry.amono)] = i
-    vec = [0] * len(entries)
-    for gen, env in element.terms.items():
-        for phi, aug in env.terms.items():
-            if aug.scalar:
-                vec[index[(gen, phi, None)]] = aug.scalar
-            for mono, c in aug.alg.terms.items():
-                vec[index[(gen, phi, mono)]] = c
-    return vec
+def basis_index(entries):
+    """Basis key -> position in ``entries``, built once per basis slice."""
+    return position_index([e.key for e in entries])
+
+
+def omega_coordinates(element, index):
+    """Coordinates over a basis given by its ``basis_index``; raises if the
+    element is not covered.  A named entry point of its own, so the
+    benchmark trace (perfbench/spans.py) counts module coordinates apart
+    from algebra coordinates."""
+    return coordinates(element, index)
 
 
 def universal_derivation(element):
-    """The universal DP derivation d: A -> Omega, extended linearly."""
-    spec = element.spec
-    out = omega_zero(spec)
+    """The universal DP derivation d: A -> Omega, extended linearly.
+
+    On a monomial, d(gamma_e(x) m') = sum_j gamma_{e-j}(x) m' phi_j (x) dx
+    for each factor gamma_e(x), the cofactor m' sharing no generator with it.
+    """
+    terms = {}
     for mono, c in element.terms.items():
         for t, (gen, e) in enumerate(mono):
-            cofactor = mono[:t] + mono[t + 1 :]
-            d_factor = _d_single_power(spec, gen, e)
-            if cofactor:
-                d_factor = d_factor.act_algebra(from_terms(spec, {cofactor: 1}))
-            out = out + d_factor.scale(c)
-    return out
-
-
-def _d_single_power(spec, gen, e):
-    """d(gamma_e(x_gen)) = sum_j gamma_{e-j}(x_gen) phi_j (x) dx_gen."""
-    env_terms = {}
-    for j in range(1, e + 1):
-        phi = UNIT if j == 1 else prime_power_decomposition(j)
-        if phi is None:
-            continue
-        if j == e:
-            aug = aug_scalar(spec, 1)
-        else:
-            aug = aug_algebra(from_terms(spec, {((gen, e - j),): 1}))
-        existing = env_terms.get(phi)
-        env_terms[phi] = aug if existing is None else existing + aug
-    return OmegaElement(spec, {gen: EnvelopeElement(spec, env_terms)})
+            for j in range(1, e + 1):
+                phi = phi_of(j)
+                if phi is None:
+                    continue
+                amono = mono[:t] + (((gen, e - j),) if j < e else ()) + mono[t + 1 :]
+                key = (((gen, 1),), phi, amono or None)
+                terms[key] = terms.get(key, 0) + c
+    return UElement(element.spec, terms)
 
 
 def phi_inversion(n, element):
@@ -320,51 +159,19 @@ def phi_inversion(n, element):
     return out
 
 
-def format_omega(element):
-    if element.is_zero():
-        return "0"
-    spec = element.spec
-    pieces = []
-    for gen in sorted(element.terms):
-        env = element.terms[gen]
-        for phi, aug in env.sorted_terms():
-            phi_txt = "" if phi == UNIT else f"{format_phi(phi)}*"
-            items = []
-            if aug.scalar:
-                items.append((None, aug.scalar))
-            for mono, c in sorted(
-                aug.alg.terms.items(), key=lambda kv: monomial_sort_key(spec, kv[0])
-            ):
-                items.append((mono, c))
-            for mono, c in items:
-                if spec.ring.modulus == 0 and c < 0:
-                    sign, mag = " - ", -c
-                else:
-                    sign, mag = " + ", c
-                body = f"{phi_txt}dx{gen + 1}"
-                if mono is not None:
-                    body = f"{format_monomial(mono)}*{body}"
-                if mag != 1:
-                    body = f"{mag}*{body}"
-                pieces.append((sign, body))
-    text = ("-" if pieces[0][0] == " - " else "") + pieces[0][1]
-    for sign, body in pieces[1:]:
-        text += sign + body
-    return text
-
-
 # ---------------------------------------------------------------------------
 # Omega as an explicit U(A)-module (action tables over the closed-form basis)
 
 
 def omega_as_umodule(spec):
     entries = omega_basis_all(spec)
+    index = basis_index(entries)
     anns = tuple(e.annihilator for e in entries)
     elements = [e.element(spec) for e in entries]
     a_action = {}
     for mono in basis_up_to(spec):
         a_el = from_terms(spec, {mono: 1})
-        columns = [omega_coordinates(el.act_algebra(a_el), entries) for el in elements]
+        columns = [omega_coordinates(el.act_algebra(a_el), index) for el in elements]
         if any(any(col) for col in columns):
             a_action[mono] = [
                 [columns[j][i] for j in range(len(entries))] for i in range(len(entries))
@@ -373,7 +180,7 @@ def omega_as_umodule(spec):
     for p in primes_up_to(spec.truncation):
         if phi_coefficient_modulus(spec.ring, p) == 1:
             continue
-        columns = [omega_coordinates(el.act_phi(p), entries) for el in elements]
+        columns = [omega_coordinates(el.act_phi(p), index) for el in elements]
         if any(any(col) for col in columns):
             phi_action[p] = [
                 [columns[j][i] for j in range(len(entries))] for i in range(len(entries))
@@ -383,9 +190,9 @@ def omega_as_umodule(spec):
 
 def universal_derivation_table(spec):
     """d written in omega_as_umodule coordinates: monomial -> vector."""
-    entries = omega_basis_all(spec)
+    index = basis_index(omega_basis_all(spec))
     return {
-        mono: tuple(omega_coordinates(universal_derivation(from_terms(spec, {mono: 1})), entries))
+        mono: tuple(omega_coordinates(universal_derivation(from_terms(spec, {mono: 1})), index))
         for mono in basis_up_to(spec)
     }
 
@@ -465,10 +272,11 @@ def factor_derivation_through_d(table, module):
     """
     spec = module.spec
     entries = omega_basis_all(spec)
-    gen_values = [module.reduce(table[((i, 1),)]) for i in range(spec.generator_count)]
+    index = basis_index(entries)
+    gen_values = [module.reduce(table[label]) for label in generator_labels(spec)]
 
     def f_entry(entry):
-        vec = gen_values[entry.gen]
+        vec = module.reduce(table[entry.label])
         if entry.phi != UNIT:
             p, e = entry.phi
             for _ in range(e):
@@ -480,7 +288,7 @@ def factor_derivation_through_d(table, module):
     entry_values = [f_entry(entry) for entry in entries]
 
     def f(omega):
-        coords = omega_coordinates(omega, entries)
+        coords = omega_coordinates(omega, index)
         out = module.zero_vec()
         for c, value in zip(coords, entry_values):
             if c:
@@ -559,17 +367,6 @@ def phi_consequences_report(spec):
 # The relation presentation Omega = (U(A) (x) A)/S
 
 
-@dataclass(frozen=True)
-class AmbientEntry:
-    """Basis element (amono or unit) (x) phi (x) [monomial] of U(A) (x) A."""
-
-    target: tuple
-    phi: tuple
-    amono: tuple | None
-    weight: int
-    annihilator: int
-
-
 @dataclass
 class PresentationSlice:
     weight: int
@@ -577,97 +374,49 @@ class PresentationSlice:
     rows: list
 
 
-def _ambient_entries(spec):
-    ring = spec.ring
-    order = {m: i for i, m in enumerate(basis_up_to(spec))}
-    slices = {w: [] for w in range(1, spec.truncation + 1)}
-    phis = [UNIT] + [prime_power_decomposition(q) for q in prime_powers_up_to(spec.truncation)]
-    for target in basis_up_to(spec):
-        wt = spec.monomial_weight(target)
-        for phi in phis:
-            if phi != UNIT and phi_coefficient_modulus(ring, phi[0]) == 1:
-                continue
-            base = phi_degree(phi) * wt
-            if base > spec.truncation:
-                continue
-            ann = 0 if phi == UNIT else phi[0]
-            slices[base].append(AmbientEntry(target, phi, None, base, ann))
-            for extra in range(1, spec.truncation - base + 1):
-                for mono in basis_of_weight(spec, extra):
-                    slices[base + extra].append(AmbientEntry(target, phi, mono, base + extra, ann))
-    for w in slices:
-        slices[w].sort(
-            key=lambda e: (
-                order[e.target],
-                phi_sort_key(e.phi),
-                -1 if e.amono is None else order[e.amono],
-            )
-        )
-    return slices
+def _on_label(element, label, phi=UNIT):
+    """element (x) phi (x) [label] for an element of A."""
+    return UElement(element.spec, {(label, phi, m): c for m, c in element.terms.items()})
 
 
-def _ambient_coordinates(element, entries):
-    index = {(e.target, e.phi, e.amono): i for i, e in enumerate(entries)}
-    vec = [0] * len(entries)
-    for target, env in element.terms.items():
-        for phi, aug in env.terms.items():
-            if aug.scalar:
-                vec[index[(target, phi, None)]] = aug.scalar
-            for mono, c in aug.alg.terms.items():
-                vec[index[(target, phi, mono)]] = c
-    return vec
-
-
-def _tensor_algebra_side(spec, coefficient, target):
-    """coefficient (x) target with coefficient in A (a (x) b style term)."""
-    return TensorElement(spec, {target: env_algebra(coefficient)})
-
-
-def _tensor_unit_side(spec, element):
+def _unit_on_monomials(element):
     """1 (x) element, spread over the monomials of ``element``."""
-    return TensorElement(
-        spec,
-        {mono: EnvelopeElement(spec, {UNIT: aug_scalar(spec, c)}) for mono, c in element.terms.items()},
-    )
+    return UElement(element.spec, {(m, UNIT, None): c for m, c in element.terms.items()})
 
 
 def presentation_relations(spec, gamma_relation_sign=-1):
     """The S-generators, instantiated on basis monomials and closed under U(A).
 
-    Returns a list of nonzero homogeneous TensorElements.  The second family
-    is 1 (x) gamma_n(a) - phi_n (x) a + sign * sum gamma_i(a) phi_j (x) a; the
-    derivation law forces sign = -1, which is the default.
+    Returns a list of nonzero homogeneous elements of U(A) (x) A.  The second
+    family is 1 (x) gamma_n(a) - phi_n (x) a + sign * sum gamma_i(a) phi_j (x) a;
+    the derivation law forces sign = -1, which is the default.
     """
-    monos = basis_up_to(spec)
+    cap = spec.truncation
+    weighted = [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
     base = []
-    for ai, a in enumerate(monos):
+    for ai, (a, wa) in enumerate(weighted):
         a_el = from_terms(spec, {a: 1})
-        wa = spec.monomial_weight(a)
-        for b in monos[ai:]:
-            wb = spec.monomial_weight(b)
-            if wa + wb > spec.truncation:
+        for b, wb in weighted[ai:]:
+            if wa + wb > cap:
                 continue
             b_el = from_terms(spec, {b: 1})
-            rel = _tensor_algebra_side(spec, a_el, b)
-            rel = rel + _tensor_algebra_side(spec, b_el, a)
-            rel = rel - _tensor_unit_side(spec, a_el * b_el)
+            rel = _on_label(a_el, b) + _on_label(b_el, a) - _unit_on_monomials(a_el * b_el)
             base.append(rel)
-        for n in range(2, spec.truncation // wa + 1):
-            rel = _tensor_unit_side(spec, divided_power(n, a_el))
+        for n in range(2, cap // wa + 1):
+            rel = _unit_on_monomials(divided_power(n, a_el))
             decomposition = prime_power_decomposition(n)
             if decomposition is not None:
-                rel = rel - TensorElement(spec, {a: env_phi(spec, *decomposition)})
+                rel = rel - UElement(spec, {(a, decomposition, None): 1})
             for i in range(1, n):
-                phi = UNIT if n - i == 1 else prime_power_decomposition(n - i)
+                phi = phi_of(n - i)
                 if phi is None:
                     continue
-                gamma_i = divided_power(i, a_el)
-                piece = TensorElement(spec, {a: EnvelopeElement(spec, {phi: aug_algebra(gamma_i)})})
+                piece = _on_label(divided_power(i, a_el), a, phi)
                 rel = rel + piece.scale(gamma_relation_sign)
             base.append(rel)
 
     closed = []
-    prime_power_list = [prime_power_decomposition(q) for q in prime_powers_up_to(spec.truncation)]
+    prime_power_list = [prime_power_decomposition(q) for q in prime_powers_up_to(cap)]
     for rel in base:
         if rel.is_zero():
             continue
@@ -679,11 +428,12 @@ def presentation_relations(spec, gamma_relation_sign=-1):
         for variant in variants:
             closed.append(variant)
             w = variant.weight()
-            for extra in range(1, spec.truncation - w + 1):
-                for mono in basis_of_weight(spec, extra):
-                    shifted = variant.act_algebra(from_terms(spec, {mono: 1}))
-                    if not shifted.is_zero():
-                        closed.append(shifted)
+            for mono, wm in weighted:
+                if w + wm > cap:
+                    break
+                shifted = variant.act_algebra(from_terms(spec, {mono: 1}))
+                if not shifted.is_zero():
+                    closed.append(shifted)
     return closed
 
 
@@ -693,11 +443,12 @@ def presentation_of_omega(spec, gamma_relation_sign=-1):
     Relation rows are exactly the S-instances; the ambient mod-p torsion of
     phi-coefficients is carried by the entries' annihilators.
     """
-    slices = _ambient_entries(spec)
+    slices = free_basis(spec, basis_up_to(spec), phi_major=False)
+    indexes = {w: basis_index(entries) for w, entries in slices.items()}
     rows = {w: set() for w in slices}
     for rel in presentation_relations(spec, gamma_relation_sign):
         w = rel.weight()
-        rows[w].add(tuple(_ambient_coordinates(rel, slices[w])))
+        rows[w].add(tuple(omega_coordinates(rel, indexes[w])))
     return {
         w: PresentationSlice(w, slices[w], sorted(rows[w]))
         for w in sorted(slices)

@@ -7,31 +7,7 @@ https://en.wikipedia.org/wiki/Smith_normal_form#Algorithm), which are entirely
 adequate at desk scale.
 """
 
-from dataclasses import dataclass, field
-from math import gcd, prod
-
-
-@dataclass
-class IntegerMatrix:
-    """A dense integer matrix with optional row/column labels."""
-
-    entries: list
-    row_labels: list = field(default_factory=list)
-    col_labels: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.row_labels and len(self.row_labels) != len(self.entries):
-            raise ValueError("row label count does not match row count")
-        if self.entries and self.col_labels and len(self.col_labels) != len(self.entries[0]):
-            raise ValueError("column label count does not match column count")
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else len(self.col_labels)
+from math import prod
 
 
 class HermiteBasis(list):
@@ -227,11 +203,6 @@ def smith_diagonal(rows, ncols=None):
         m = [row for row in m[1:] if any(row[t + 1 :])]
         t += 1
     return diagonal
-
-
-def smith_normal_form(matrix):
-    """Invariant factors d_1 | ... | d_r of an IntegerMatrix (rank many)."""
-    return smith_diagonal(matrix.entries, matrix.ncols)
 
 
 def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):

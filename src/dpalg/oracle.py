@@ -31,7 +31,13 @@ from .dpcore import (
     zero as algebra_zero,
 )
 from .envelope import phi_of
-from .kahler import indecomposables, omega_coordinates, omega_free_basis, universal_derivation
+from .kahler import (
+    basis_index,
+    indecomposables,
+    omega_coordinates,
+    omega_free_basis,
+    universal_derivation,
+)
 from .linalg import (
     cokernel_factors,
     hermite_form,
@@ -126,48 +132,6 @@ class ProductElement:
         return f"({self.a}, {self.b})"
 
 
-class ProductArith:
-    """Axiom-checker adapter for the componentwise product structure."""
-
-    def __init__(self, spec_a, spec_b):
-        if spec_a.ring != spec_b.ring:
-            raise ValueError("product needs a common coefficient ring")
-        self.spec_a = spec_a
-        self.spec_b = spec_b
-        self.ring = spec_a.ring
-
-    def random_element(self, rng):
-        from .dpcore import random_element
-
-        return ProductElement(
-            random_element(self.spec_a, rng, max_terms=2),
-            random_element(self.spec_b, rng, max_terms=2),
-        )
-
-    def random_scalar(self, rng):
-        return self.ring.normalize(rng.randint(-9, 9))
-
-    @staticmethod
-    def add(u, v):
-        return u + v
-
-    @staticmethod
-    def mul(u, v):
-        return u * v
-
-    @staticmethod
-    def gamma(n, u):
-        return u.gamma(n)
-
-    @staticmethod
-    def scale(c, u):
-        return u.scale(c)
-
-    @staticmethod
-    def describe(u):
-        return str(u)
-
-
 def unital_product_collapse(module, samples=100, seed=0):
     """On a trivial-product algebra, the only unital product is addition.
 
@@ -248,25 +212,19 @@ class OmegaOracle:
         self.spec = spec
         self.coproduct, fold_slices = fold_kernel(spec)
         self.slices = {}
-
-        def element_of(w, row):
-            terms = {m: c for m, c in zip(fold_slices[w].domain_basis, row) if c}
-            return from_terms(self.coproduct.spec, terms)
-
+        # Kernel rows as coproduct elements, converted once per row; only
+        # weights below N enter a product of two kernel elements.
+        elements = {}
         for w in range(1, spec.truncation + 1):
             fold = fold_slices[w]
             rows = []
             for w1 in range(1, w // 2 + 1):
-                w2 = w - w1
-                left = fold_slices[w1].kernel
-                right = fold_slices[w2].kernel
-                if w1 == w2:
-                    pairs = list(combinations_with_replacement(range(len(left)), 2))
+                left, right = elements[w1], elements[w - w1]
+                if 2 * w1 == w:
+                    pairs = combinations_with_replacement(left, 2)
                 else:
-                    pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
-                for i, j in pairs:
-                    u = element_of(w1, left[i])
-                    v = element_of(w2, right[j])
+                    pairs = ((u, v) for u in left for v in right)
+                for u, v in pairs:
                     rows.append(self._kernel_coords(u * v, fold))
             if spec.ring.modulus:
                 # m Z^B sits inside the lifted kernel; quotient by it too.
@@ -281,7 +239,9 @@ class OmegaOracle:
             self.slices[w] = QuotientSlice(
                 w, fold.domain_basis, fold.kernel, rows, relation_hnf, factors, fold.index
             )
-        self.phi_tables = self._induced_phi()
+            if w < spec.truncation:
+                elements[w] = [self.kernel_element(w, row) for row in fold.kernel]
+        self.phi_tables = self._induced_phi(elements)
 
     def _kernel_coords(self, element, fold):
         vec = coordinates(element, fold.index)
@@ -290,19 +250,16 @@ class OmegaOracle:
             raise ValueError("element does not lie in the fold kernel")
         return coords
 
-    def _induced_phi(self):
+    def _induced_phi(self, elements):
         tables = {}
-        for w, slice_w in self.slices.items():
+        for w in self.slices:
             for p in primes_up_to(self.spec.truncation):
                 if p * w > self.spec.truncation:
                     continue
                 target = self.slices[p * w]
-                rows = []
-                for row in slice_w.kernel:
-                    el = self.kernel_element(w, row)
-                    image = divided_power(p, el)
-                    rows.append(self._kernel_coords(image, target))
-                tables[(w, p)] = rows
+                tables[(w, p)] = [
+                    self._kernel_coords(divided_power(p, el), target) for el in elements[w]
+                ]
         return tables
 
     def kernel_element(self, w, row):
@@ -319,11 +276,6 @@ class OmegaOracle:
         coords = self.to_kernel_coords(element, w)
         return in_lattice(self.slices[w].relation_hnf, coords)
 
-    def delta(self, gen):
-        """The derivation representative in_2(x_gen) - in_1(x_gen)."""
-        x = gamma_gen(self.spec, gen, 1)
-        return self.coproduct.include_right(x) - self.coproduct.include_left(x)
-
     def derivation_rep(self, a):
         return self.coproduct.include_right(a) - self.coproduct.include_left(a)
 
@@ -337,17 +289,14 @@ class OmegaOracle:
         return element
 
 
-def i_mod_i_squared(spec):
-    return OmegaOracle(spec)
-
-
 # ---------------------------------------------------------------------------
 # The main-theorem and indecomposables verifiers
 
 
 def _closed_form_rep(oracle, entry):
     """Representative in A ∐ A of the closed-form basis element."""
-    rep = oracle.phi_rep(entry.phi, oracle.delta(entry.gen))
+    dx = oracle.derivation_rep(from_terms(oracle.spec, {entry.label: 1}))
+    rep = oracle.phi_rep(entry.phi, dx)
     if entry.amono is not None:
         shift = oracle.coproduct.include_left(from_terms(oracle.spec, {entry.amono: 1}))
         rep = shift * rep
@@ -378,7 +327,7 @@ def verify_main_theorem(spec):
                     f"comparison map well-defined (w={w})",
                     in_lattice(slice_w.relation_hnf, scaled),
                     True,
-                    context=entry.label(),
+                    context=str(entry),
                 )
         phi_rows[w] = rows
 
@@ -387,14 +336,14 @@ def verify_main_theorem(spec):
 
     # d-compatibility: the closed-form universal derivation matches
     # a -> [in_2(a) - in_1(a)] through the comparison map.
-    entries_by_weight = {w: closed[w] for w in closed}
     for w in range(1, spec.truncation + 1):
+        index = basis_index(closed[w])
         slice_w = oracle.slices[w]
         for mono in basis_of_weight(spec, w):
             a = from_terms(spec, {mono: 1})
             direct = oracle.to_kernel_coords(oracle.derivation_rep(a), w)
             through = [0] * len(slice_w.kernel)
-            d_coords = omega_coordinates(universal_derivation(a), entries_by_weight[w])
+            d_coords = omega_coordinates(universal_derivation(a), index)
             for c, row in zip(d_coords, phi_rows[w]):
                 if c:
                     through = [t + c * r for t, r in zip(through, row)]
@@ -420,7 +369,7 @@ def verify_main_theorem(spec):
                     f"phi_{p} kills A_+-multiples and foreign primes (w={w})",
                     oracle.class_is_zero(image, p * w),
                     True,
-                    context=entry.label(),
+                    context=str(entry),
                 )
 
     # The derivation laws for a -> [in_2(a) - in_1(a)] itself.

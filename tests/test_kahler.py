@@ -4,19 +4,16 @@ import pytest
 
 from dpalg.coeff import Ring, ZZ
 from dpalg.dpcore import divided_power, free_spec, from_terms, gamma_gen, random_element
-from dpalg.envelope import UNIT, aug_algebra, aug_scalar, EnvelopeElement
+from dpalg.envelope import UNIT, UElement
 from dpalg.kahler import (
-    OmegaElement,
+    basis_index,
     factor_derivation_through_d,
-    format_omega,
     indecomposables,
     is_dp_derivation,
     omega_as_umodule,
     omega_basis_all,
     omega_coordinates,
     omega_free_basis,
-    omega_generator,
-    omega_zero,
     phi_inversion,
     presentation_of_omega,
     universal_derivation,
@@ -29,8 +26,7 @@ RANK2 = free_spec(ZZ, 2, 8)
 
 
 def omega_single(spec, gen, phi, amono, coeff=1):
-    aug = aug_scalar(spec, coeff) if amono is None else aug_algebra(from_terms(spec, {amono: coeff}))
-    return OmegaElement(spec, {gen: EnvelopeElement(spec, {phi: aug})})
+    return UElement(spec, {(((gen, 1),), phi, amono): coeff})
 
 
 def test_d_of_generator():
@@ -112,11 +108,12 @@ def test_omega_basis_drops_invertible_primes():
 
 def test_omega_coordinates_roundtrip():
     entries = omega_basis_all(RANK2)
+    index = basis_index(entries)
     rng = random.Random(12)
     for _ in range(30):
         a = random_element(RANK2, rng, max_terms=2)
-        coords = omega_coordinates(universal_derivation(a), entries)
-        rebuilt = omega_zero(RANK2)
+        coords = omega_coordinates(universal_derivation(a), index)
+        rebuilt = UElement(RANK2)
         for c, entry in zip(coords, entries):
             if c:
                 rebuilt = rebuilt + entry.element(RANK2).scale(c)
@@ -187,6 +184,7 @@ def test_factorization_from_arbitrary_generator_images():
     spec = free_spec(ZZ, 2, 6)
     module = omega_as_umodule(spec)
     entries = omega_basis_all(spec)
+    index = basis_index(entries)
     rng = random.Random(41)
     from dpalg.dpcore import basis_up_to, from_terms
 
@@ -195,10 +193,10 @@ def test_factorization_from_arbitrary_generator_images():
 
         def f(omega_el):
             out = module.zero_vec()
-            for c, entry in zip(omega_coordinates(omega_el, entries), entries):
+            for c, entry in zip(omega_coordinates(omega_el, index), entries):
                 if not c:
                     continue
-                vec = images[entry.gen]
+                vec = images[entry.label[0][0]]
                 if entry.phi != ():
                     p, e = entry.phi
                     for _ in range(e):
@@ -293,6 +291,6 @@ def test_indecomposables_rank2_mod2():
 
 def test_format_omega():
     d4 = universal_derivation(gamma_gen(RANK1, 0, 4))
-    assert format_omega(d4) == "g3(x1)*dx1 + g2(x1)*ph2*dx1 + x1*ph3*dx1 + ph2^2*dx1"
-    assert format_omega(omega_zero(RANK1)) == "0"
-    assert format_omega(omega_generator(RANK1, 0)) == "dx1"
+    assert str(d4) == "g3(x1)*dx1 + g2(x1)*ph2*dx1 + x1*ph3*dx1 + ph2^2*dx1"
+    assert str(UElement(RANK1)) == "0"
+    assert str(omega_single(RANK1, 0, UNIT, None)) == "dx1"

@@ -2,7 +2,6 @@ import random
 
 from dpalg.coeff import Ring, ZZ
 from dpalg.linalg import (
-    IntegerMatrix,
     cokernel_factors,
     determinant,
     hermite_form,
@@ -11,16 +10,15 @@ from dpalg.linalg import (
     kernel_basis,
     kernel_basis_mod,
     smith_diagonal,
-    smith_normal_form,
     solve_in_lattice,
     spans_full_lattice,
 )
 
 
 def test_smith_examples():
-    assert smith_normal_form(IntegerMatrix([[2, -2]])) == [2]
-    assert smith_normal_form(IntegerMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [1, 1, 1]
-    assert smith_normal_form(IntegerMatrix([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_diagonal([[2, -2]], 2) == [2]
+    assert smith_diagonal([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == [1, 1, 1]
+    assert smith_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
 
 
 def test_smith_divisibility_chain_and_determinant():

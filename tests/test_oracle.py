@@ -16,7 +16,6 @@ from dpalg.dpcore import (
 )
 from dpalg.oracle import (
     OmegaOracle,
-    ProductArith,
     ProductElement,
     coproduct,
     fold_kernel,
@@ -172,8 +171,13 @@ def test_verify_indecomposables_mod2():
 
 
 def test_direct_product_componentwise_axioms():
-    arith = ProductArith(free_spec(ZZ, 1, 5), free_spec(ZZ, 2, 5))
-    report = dp_axiom_report(arith, samples=40, seed=3)
+    spec_a, spec_b = free_spec(ZZ, 1, 5), free_spec(ZZ, 2, 5)
+
+    def sample(rng):
+        a = random_element(spec_a, rng, max_terms=2)
+        return ProductElement(a, random_element(spec_b, rng, max_terms=2))
+
+    report = dp_axiom_report(ZZ, sample, lambda n, u: u.gamma(n), samples=40, seed=3)
     assert report.passed, report.summary()
 
 
