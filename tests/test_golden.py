@@ -11,11 +11,25 @@ from pathlib import Path
 
 import pytest
 
-from dpalg.beck import corrupted_phi_module, verify_beck_axioms
+from dpalg.beck import (
+    UModule,
+    corrupted_phi_module,
+    mixed_torsion_module,
+    trivial_module,
+    u0_module,
+    verify_beck_axioms,
+    zero_module,
+)
 from dpalg.cli import run
 from dpalg.coeff import Ring, ZZ
 from dpalg.dpcore import free_spec
-from dpalg.kahler import omega_as_umodule, presentation_of_omega, universal_derivation_table
+from dpalg.kahler import (
+    factor_derivation_through_d,
+    is_dp_derivation,
+    omega_as_umodule,
+    presentation_of_omega,
+    universal_derivation_table,
+)
 from dpalg.suites import suite_axioms, suite_beck
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,3 +136,60 @@ def test_axiom_suite_records_match_golden():
             for seed in (0, 101)
         },
     )
+
+
+def _law_counts(report):
+    """Per-law [passed, failed] counts in first-seen order, then every failure."""
+    counts = {}
+    for r in report.records:
+        counts.setdefault(r.law, [0, 0])[0 if r.passed else 1] += 1
+    return {
+        "title": report.title,
+        "laws": [[law, *c] for law, c in counts.items()],
+        "failures": [[r.law, r.counterexample] for r in report.failures()],
+    }
+
+
+def _ill_defined_modules(spec):
+    """The two ill-defined modules of test_module_validation_well_definedness."""
+    return {
+        "phi off p-torsion": UModule(spec, (3, 2), phi_action={2: [[0, 0], [1, 0]]}),
+        "torsion into free": UModule(spec, (2, 0), a_action={((0, 1),): [[0, 0], [1, 0]]}),
+    }
+
+
+def _module_reports():
+    spec = free_spec(ZZ, 1, 6)
+    ill_defined = _ill_defined_modules(spec)
+    modules = {
+        "zero": zero_module(spec),
+        "trivial (0, 2, 3)": trivial_module(spec, (0, 2, 3)),
+        "u0 cap 6": u0_module(spec, 6),
+        "mixed torsion": mixed_torsion_module(spec),
+        "corrupted phi": corrupted_phi_module(spec),
+        **ill_defined,
+        "omega (1,6,Z)": omega_as_umodule(spec),
+        "omega (2,4,Z/6)": omega_as_umodule(free_spec(Ring(6), 2, 4)),
+        "omega (2,6,Z)": omega_as_umodule(free_spec(ZZ, 2, 6)),
+    }
+    yield from ((f"validate {name}", m.validate()) for name, m in modules.items())
+    for name, module in ill_defined.items():
+        yield f"beck {name}", verify_beck_axioms(module, samples=20, seed=3)
+    omega = modules["omega (1,6,Z)"]
+    table = universal_derivation_table(spec)
+    doubled = dict(table)
+    doubled[((0, 2),)] = tuple(2 * c for c in doubled[((0, 2),)])
+    yield "derivation d", is_dp_derivation(table, omega, samples=40, seed=3)
+    yield "derivation doubled gamma_2", is_dp_derivation(doubled, omega, samples=40, seed=3)
+    values, report = factor_derivation_through_d(table, omega)
+    yield "factorization of d", report
+    yield "factorization values", values
+
+
+def test_module_records_match_golden():
+    lines = [
+        json.dumps([name, value if name == "factorization values" else _law_counts(value)])
+        for name, value in _module_reports()
+    ]
+    # One report per line keeps the file compact and its diffs readable.
+    assert "[\n" + ",\n".join(lines) + "\n]\n" == (GOLDEN / "module_records.json").read_text()
