@@ -1,10 +1,11 @@
 """Beck modules as finite action tables, and semidirect extensions A (+) M.
 
 A UModule is a left U(A)-module on an explicit finite basis: per-basis
-annihilators (0 = free cyclic summand), one integer matrix per algebra basis
-monomial, and one matrix per prime p for the phi_p operator.  phi_p is
-additive and p-semilinear; semilinearity is enforced structurally by raising
-coordinates to the p-th power before the matrix is applied, so
+annihilators (0 = free cyclic summand), one integer table per algebra basis
+monomial, and one table per prime p for the phi_p operator.  Tables are given
+as rows and applied through their nonzero columns, computed once per module.
+phi_p is additive and p-semilinear; semilinearity is enforced structurally by
+raising coordinates to the p-th power before the table is applied, so
 phi_p(r x) = r^p phi_p(x) holds by construction.
 
 The semidirect product A (+) M carries the multiplication
@@ -19,8 +20,8 @@ suite.
 
 import random
 
-from .coeff import gamma_compose_coeff, primes_up_to
-from .dpcore import divided_power, dp_axiom_report, from_terms, random_element
+from .coeff import gamma_compose_coeff, is_prime, primes_up_to
+from .dpcore import basis_up_to, divided_power, dp_axiom_report, from_terms, random_element
 from .envelope import (
     UNIT,
     phi_coefficient_modulus,
@@ -31,12 +32,14 @@ from .envelope import (
 from .report import CheckReport
 
 
-def _matrix(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def zero_matrix(n):
-    return tuple((0,) * n for _ in range(n))
+def _image(columns, pairs, out=None):
+    """Add into ``out`` the unreduced image {target: value}, under the table with
+    ``columns``, of the vector whose nonzero (source, value) pairs are ``pairs``."""
+    out = {} if out is None else out
+    for j, v in pairs:
+        for i, w in columns[j]:
+            out[i] = out.get(i, 0) + v * w
+    return out
 
 
 class UModule:
@@ -46,8 +49,24 @@ class UModule:
         self.spec = spec
         self.annihilators = tuple(annihilators)
         self.moduli = tuple(spec.ring.effective_annihilator(d) for d in self.annihilators)
-        self.a_action = {m: _matrix(mat) for m, mat in (a_action or {}).items()}
-        self.phi_action = {p: _matrix(mat) for p, mat in (phi_action or {}).items()}
+        self.a_action = dict(a_action or {})
+        self.phi_action = dict(phi_action or {})
+        monomials = set(basis_up_to(spec)) if self.a_action else set()
+        for mono in self.a_action:
+            if mono not in monomials:
+                raise ValueError(f"a_action key {mono} is not a basis monomial of the algebra")
+        for p in self.phi_action:
+            if not is_prime(p):
+                raise ValueError(f"phi_action key {p} is not a prime")
+        self._a_columns = {m: self._columns(m, rows) for m, rows in self.a_action.items()}
+        self._phi_columns = {p: self._columns(p, rows) for p, rows in self.phi_action.items()}
+
+    def _columns(self, key, rows):
+        """Column j as its nonzero (row, entry) pairs: the image of basis vector j."""
+        n = self.rank
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"table {key} is not {n} x {n}")
+        return [[(i, v) for i, v in enumerate(column) if v] for column in zip(*rows)]
 
     @property
     def rank(self):
@@ -71,25 +90,35 @@ class UModule:
     def scale_vec(self, c, x):
         return self.reduce(tuple(c * a for a in x))
 
-    def _apply(self, matrix, vec):
-        return self.reduce(tuple(sum(row[j] * vec[j] for j in range(self.rank)) for row in matrix))
+    def _vector(self, image):
+        vec = [0] * self.rank
+        for i, v in image.items():
+            vec[i] = v % self.moduli[i] if self.moduli[i] else v
+        return tuple(vec)
+
+    def _vanishes(self, image):
+        moduli = self.moduli
+        return all(not (v % moduli[i] if moduli[i] else v) for i, v in image.items())
 
     def act_monomial(self, mono, vec):
-        matrix = self.a_action.get(mono)
-        return self._apply(matrix, vec) if matrix is not None else self.zero_vec()
+        columns = self._a_columns.get(mono)
+        if columns is None:
+            return self.zero_vec()
+        return self._vector(_image(columns, [(j, v) for j, v in enumerate(vec) if v]))
 
     def act(self, a, vec):
-        out = self.zero_vec()
+        pairs = [(j, v) for j, v in enumerate(vec) if v]
+        image = {}
         for mono, c in a.terms.items():
-            out = self.add_vec(out, self.scale_vec(c, self.act_monomial(mono, vec)))
-        return out
+            if mono in self._a_columns:
+                _image(self._a_columns[mono], [(j, c * v) for j, v in pairs], image)
+        return self._vector(image)
 
     def phi_p(self, p, vec):
-        matrix = self.phi_action.get(p)
-        if matrix is None:
+        columns = self._phi_columns.get(p)
+        if columns is None:
             return self.zero_vec()
-        powered = tuple(v**p for v in vec)
-        return self._apply(matrix, powered)
+        return self._vector(_image(columns, [(j, v**p) for j, v in enumerate(vec) if v]))
 
     def phi_n(self, n, vec):
         """phi_n: identity for n=1, phi_p^e for n = p^e, zero otherwise."""
@@ -106,90 +135,62 @@ class UModule:
     def random_vec(self, rng, bound=9):
         return self.reduce(tuple(rng.randint(-bound, bound) for _ in range(self.rank)))
 
-    def _matrix_is_zero(self, matrix):
-        return all(
-            v % d == 0 if d else v == 0
-            for row, d in zip(matrix, self.moduli)
-            for v in row
-        )
-
-    def _matrix_mul(self, a, b):
-        n = self.rank
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            acc = out[i]
-            for k, v in enumerate(a[i]):
-                if v:
-                    brow = b[k]
-                    for j, w in enumerate(brow):
-                        if w:
-                            acc[j] += v * w
-        return tuple(tuple(r) for r in out)
-
-    def _matrix_diff(self, a, b):
-        return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-    def _column_killed(self, matrix, j, factor):
-        return all(
-            (factor * row[j]) % d == 0 if d else factor * row[j] == 0
-            for row, d in zip(matrix, self.moduli)
-        )
+    def _kills(self, columns, vectors):
+        """True when the table kills every vector, each given by its nonzero pairs."""
+        return all(self._vanishes(_image(columns, pairs)) for pairs in vectors)
 
     def validate(self):
         """Structural invariants of a U(A)-module presentation."""
         report = CheckReport(f"UModule structure (rank {self.rank} over {self.spec.ring})")
+        a_tables = sorted(self._a_columns.items())
+        phi_tables = sorted(self._phi_columns.items())
         # Well-definedness: each action must kill what the source coordinate's
         # annihilator kills.  For phi_p the coordinate enters through its p-th
         # power, so sources with annihilator prime to p must map to zero.
-        for mono, matrix in sorted(self.a_action.items()):
+        for mono, columns in a_tables:
             for j, d in enumerate(self.moduli):
                 if d:
                     report.check(
                         "a_action defined on torsion coordinates",
-                        self._column_killed(matrix, j, d),
+                        self._kills(columns, [[(j, d)]]),
                         True,
                         context=f"monomial {mono}, coordinate {j}",
                     )
-        for p, matrix in sorted(self.phi_action.items()):
+        for p, columns in phi_tables:
             for j, d in enumerate(self.moduli):
                 if d and d % p != 0:
                     report.check(
                         f"phi_p vanishes off p-torsion sources (p={p})",
-                        self._column_killed(matrix, j, 1),
+                        self._kills(columns, [[(j, 1)]]),
                         True,
                         context=f"coordinate {j} (annihilator {d})",
                     )
-        for p, matrix in sorted(self.phi_action.items()):
-            scaled = tuple(tuple(p * v for v in row) for row in matrix)
-            report.check(f"p*phi_p = 0 (p={p})", self._matrix_is_zero(scaled), True)
-            for mono, amat in sorted(self.a_action.items()):
-                composite = self._matrix_mul(matrix, amat)
+        # A composite applies the outer table to the unreduced columns of the
+        # inner one and is reduced once, as the matrix product would be.
+        for p, columns in phi_tables:
+            scaled = [[(j, p)] for j in range(self.rank)]
+            report.check(f"p*phi_p = 0 (p={p})", self._kills(columns, scaled), True)
+            for mono, inner in a_tables:
                 report.check(
                     f"phi_p annihilates A-multiples (p={p})",
-                    self._matrix_is_zero(composite),
+                    self._kills(columns, inner),
                     True,
                     context=f"monomial {mono}",
                 )
-            for q, qmat in sorted(self.phi_action.items()):
+            for q, inner in phi_tables:
                 if q != p:
-                    composite = self._matrix_mul(matrix, qmat)
-                    report.check(
-                        f"phi_p phi_q = 0 (p={p}, q={q})",
-                        self._matrix_is_zero(composite),
-                        True,
-                    )
-        for mono_a, mat_a in sorted(self.a_action.items()):
-            for mono_b, mat_b in sorted(self.a_action.items()):
+                    report.check(f"phi_p phi_q = 0 (p={p}, q={q})", self._kills(columns, inner), True)
+        for mono_a, columns in a_tables:
+            for mono_b, inner in a_tables:
                 product = from_terms(self.spec, {mono_a: 1}) * from_terms(self.spec, {mono_b: 1})
-                expected = zero_matrix(self.rank)
+                images = [_image(columns, pairs) for pairs in inner]
                 for mono, c in product.terms.items():
-                    table = self.a_action.get(mono, zero_matrix(self.rank))
-                    expected = tuple(
-                        tuple(x + c * y for x, y in zip(re, rt)) for re, rt in zip(expected, table)
-                    )
+                    if mono in self._a_columns:
+                        for j, image in enumerate(images):
+                            _image(self._a_columns[mono], [(j, -c)], image)
                 report.check(
                     "a_action respects products",
-                    self._matrix_is_zero(self._matrix_diff(self._matrix_mul(mat_a, mat_b), expected)),
+                    all(map(self._vanishes, images)),
                     True,
                     context=f"{mono_a} * {mono_b}",
                 )

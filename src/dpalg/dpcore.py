@@ -156,10 +156,11 @@ class DPElement:
         ring = spec.ring
         cap = spec.truncation
         out = {}
+        right = [(mb, cb, spec.monomial_weight(mb)) for mb, cb in other.terms.items()]
         for ma, ca in self.terms.items():
             wa = spec.monomial_weight(ma)
-            for mb, cb in other.terms.items():
-                if wa + spec.monomial_weight(mb) > cap:
+            for mb, cb, wb in right:
+                if wa + wb > cap:
                     continue
                 binom, mono = mono_mul(ma, mb)
                 c = ring.normalize(ca * cb * binom)

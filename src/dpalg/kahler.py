@@ -173,18 +173,14 @@ def omega_as_umodule(spec):
         a_el = from_terms(spec, {mono: 1})
         columns = [omega_coordinates(el.act_algebra(a_el), index) for el in elements]
         if any(any(col) for col in columns):
-            a_action[mono] = [
-                [columns[j][i] for j in range(len(entries))] for i in range(len(entries))
-            ]
+            a_action[mono] = list(zip(*columns))
     phi_action = {}
     for p in primes_up_to(spec.truncation):
         if phi_coefficient_modulus(spec.ring, p) == 1:
             continue
         columns = [omega_coordinates(el.act_phi(p), index) for el in elements]
         if any(any(col) for col in columns):
-            phi_action[p] = [
-                [columns[j][i] for j in range(len(entries))] for i in range(len(entries))
-            ]
+            phi_action[p] = list(zip(*columns))
     return UModule(spec, anns, a_action=a_action, phi_action=phi_action)
 
 
@@ -201,7 +197,7 @@ def universal_derivation_table(spec):
 # DP derivations into a UModule
 
 
-def apply_table(spec, table, element, module):
+def apply_table(table, element, module):
     """Linear extension of a basis-monomial table A -> M."""
     out = module.zero_vec()
     for mono, c in element.terms.items():
@@ -219,28 +215,29 @@ def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2,
     report = CheckReport(f"DP derivation laws over {spec.ring} (rank {spec.generator_count})")
 
     def s(a):
-        return apply_table(spec, table, a, module)
+        return apply_table(table, a, module)
 
     for _ in range(samples):
         a = random_element(spec, rng, max_terms=2)
         b = random_element(spec, rng, max_terms=2)
         n = rng.randint(2, max_index)
         ctx = f"a={a}, b={b}, n={n}"
+        sa = s(a)
+        sab = s(a * b)
+        s_gamma = {k: s(divided_power(k, a)) for k in {n, *primes}}
 
-        lhs = s(a * b)
-        rhs = module.add_vec(module.act(a, s(b)), module.act(b, s(a)))
-        report.check("s(ab) = a s(b) + b s(a)", lhs, rhs, ctx)
+        rhs = module.add_vec(module.act(a, s(b)), module.act(b, sa))
+        report.check("s(ab) = a s(b) + b s(a)", sab, rhs, ctx)
 
-        lhs = s(divided_power(n, a))
-        rhs = module.phi_n(n, s(a))
+        rhs = module.phi_n(n, sa)
         for i in range(1, n):
-            rhs = module.add_vec(rhs, module.act(divided_power(i, a), module.phi_n(n - i, s(a))))
-        report.check("s(gamma_n a) = phi_n(sa) + sum gamma_i(a) phi_j(sa)", lhs, rhs, ctx)
+            rhs = module.add_vec(rhs, module.act(divided_power(i, a), module.phi_n(n - i, sa)))
+        report.check("s(gamma_n a) = phi_n(sa) + sum gamma_i(a) phi_j(sa)", s_gamma[n], rhs, ctx)
 
         for p in primes:
             report.check(
                 "phi_p(s(ab)) = 0",
-                module.phi_p(p, s(a * b)),
+                module.phi_p(p, sab),
                 module.zero_vec(),
                 f"p={p}, {ctx}",
             )
@@ -249,14 +246,14 @@ def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2,
                     continue
                 report.check(
                     "phi_p(s(gamma_q a)) = 0 for q != p",
-                    module.phi_p(p, s(divided_power(q, a))),
+                    module.phi_p(p, s_gamma[q]),
                     module.zero_vec(),
                     f"p={p}, q={q}, {ctx}",
                 )
             report.check(
                 "phi_p(s(gamma_p a)) = phi_p^2(s a)",
-                module.phi_p(p, s(divided_power(p, a))),
-                module.phi_p(p, module.phi_p(p, s(a))),
+                module.phi_p(p, s_gamma[p]),
+                module.phi_p(p, module.phi_p(p, sa)),
                 f"p={p}, {ctx}",
             )
     return report
@@ -265,22 +262,19 @@ def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2,
 def factor_derivation_through_d(table, module):
     """The universal property: find the U(A)-map f with s = f o d.
 
-    f is pinned by its values on the generators 1 (x) dx_i (the system of
-    generator equations is the identity matrix, hence full column rank), and
-    existence is verified by evaluating f o d on every basis monomial.
+    f is pinned by its values on the generators 1 (x) dx_i: the generator
+    equations, d(x_i) read on the entries 1 (x) dx_j, must have full column
+    rank.  Existence is verified by evaluating f o d on every basis monomial.
     Returns (generator values, report).
     """
     spec = module.spec
     entries = omega_basis_all(spec)
     index = basis_index(entries)
-    gen_values = [module.reduce(table[label]) for label in generator_labels(spec)]
+    labels = generator_labels(spec)
+    gen_values = [module.reduce(table[label]) for label in labels]
 
     def f_entry(entry):
-        vec = module.reduce(table[entry.label])
-        if entry.phi != UNIT:
-            p, e = entry.phi
-            for _ in range(e):
-                vec = module.phi_p(p, vec)
+        vec = module.phi_n(phi_degree(entry.phi), module.reduce(table[entry.label]))
         if entry.amono is not None:
             vec = module.act_monomial(entry.amono, vec)
         return vec
@@ -296,12 +290,15 @@ def factor_derivation_through_d(table, module):
         return out
 
     report = CheckReport(f"factorization through d over {spec.ring}")
-    n = spec.generator_count
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    generator_columns = [index[(label, UNIT, None)] for label in labels]
+    equations = []
+    for label in labels:
+        coords = omega_coordinates(universal_derivation(from_terms(spec, {label: 1})), index)
+        equations.append([coords[k] for k in generator_columns])
     report.check(
         "generator equations have full column rank",
-        smith_diagonal(identity, n),
-        [1] * n,
+        smith_diagonal(equations, len(labels)),
+        [1] * len(labels),
     )
     for mono in basis_up_to(spec):
         report.check(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,8 @@ from dpalg.beck import (
     verify_beck_axioms,
     zero_module,
 )
-from dpalg.dpcore import divided_power, free_spec, gamma_gen, random_element, zero
+from dpalg.dpcore import basis_up_to, divided_power, free_spec, gamma_gen, random_element, zero
+from dpalg.kahler import omega_as_umodule
 
 SPEC = free_spec(ZZ, 1, 6)
 
@@ -171,3 +173,71 @@ def test_gamma_prime_power_is_iterated_gamma_p():
             for _ in range(e):
                 rhs = semidirect_gamma(p, rhs)
             assert lhs == rhs
+
+
+def _dense_apply(module, rows, vec):
+    """Reference: row-times-vector over every entry, reduced once."""
+    return module.reduce(tuple(sum(w * v for w, v in zip(row, vec)) for row in rows))
+
+
+def _random_module(spec, rank, seed):
+    rng = random.Random(seed)
+
+    def table():
+        return [[rng.choice((0, 0, 0, 1, -1, 2, 5)) for _ in range(rank)] for _ in range(rank)]
+
+    annihilators = [rng.choice((0, 2, 3, 4, 6)) for _ in range(rank)]
+    monomials = rng.sample(basis_up_to(spec), 3)
+    a_action = {mono: table() for mono in monomials}
+    return UModule(spec, annihilators, a_action=a_action, phi_action={2: table(), 3: table()})
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        _random_module(free_spec(ZZ, 2, 4), 6, seed=1),
+        _random_module(free_spec(Ring(6), 2, 4), 6, seed=2),
+        omega_as_umodule(free_spec(Ring(6), 2, 4)),
+    ],
+    ids=["random-Z", "random-Z/6", "omega-2-4-Z/6"],
+)
+def test_sparse_actions_match_dense_reference(module):
+    spec = module.spec
+    rng = random.Random(23)
+    zero_rows = [[0] * module.rank for _ in range(module.rank)]
+    for _ in range(30):
+        # unreduced coordinates, so the reference and the kernel both reduce
+        vec = tuple(rng.choice((0, 0, rng.randint(-20, 20))) for _ in range(module.rank))
+        for mono in basis_up_to(spec):
+            rows = module.a_action.get(mono, zero_rows)
+            assert module.act_monomial(mono, vec) == _dense_apply(module, rows, vec), mono
+        a = random_element(spec, rng)
+        expected = module.zero_vec()
+        for mono, c in a.terms.items():
+            rows = module.a_action.get(mono, zero_rows)
+            expected = module.add_vec(expected, module.scale_vec(c, _dense_apply(module, rows, vec)))
+        assert module.act(a, vec) == expected, str(a)
+        for p in (2, 3, 5):
+            rows = module.phi_action.get(p, zero_rows)
+            powered = tuple(v**p for v in vec)
+            assert module.phi_p(p, vec) == _dense_apply(module, rows, powered), p
+
+
+def test_tables_must_be_rank_by_rank():
+    x = ((0, 1),)
+    with pytest.raises(ValueError, match=re.escape(str(x))):
+        UModule(SPEC, (0, 0), a_action={x: [[0, 1]]})
+    with pytest.raises(ValueError, match="table 2 is not 2 x 2"):
+        UModule(SPEC, (0, 0), phi_action={2: [[0], [1]]})
+
+
+def test_a_action_keys_must_be_basis_monomials():
+    for key in (((0, 7),), ((1, 1),), ()):
+        with pytest.raises(ValueError, match=re.escape(f"a_action key {key}")):
+            UModule(SPEC, (0,), a_action={key: [[1]]})
+
+
+def test_phi_action_keys_must_be_prime():
+    for key in (4, 1, 6):
+        with pytest.raises(ValueError, match=f"phi_action key {key} is not a prime"):
+            UModule(SPEC, (2,), phi_action={key: [[1]]})
