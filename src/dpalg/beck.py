@@ -43,7 +43,7 @@ def _image(columns, pairs, out=None):
 
 
 class UModule:
-    """Finitely generated U(A)-module given by basis and action tables."""
+    """Finitely generated U(A)-module; tables given as rows are applied by nonzero columns."""
 
     def __init__(self, spec, annihilators, a_action=None, phi_action=None):
         self.spec = spec
