@@ -60,8 +60,13 @@ DIFF_SETTINGS = [
         ["--gens", "2", "--weights", "2,1", "--trunc", "9", "g3(x1)*x2 - g4(x2) + g2(x1)*g2(x2)"],
     ),
 ]
-for stem, args in DIFF_SETTINGS:
-    CASES += [(stem + ".txt", ["diff", *args]), (stem + ".json", ["diff", "--json", *args])]
+GAMMA_SETTINGS = [
+    ("gamma_g2_w21_n9_z", ["3", "--gens", "2", "--weights", "2,1", "--trunc", "9", "3*x1 + x2 - g2(x2)"]),
+    ("gamma_g2_n8_zmod6", ["4", "--ring", "zmod=6", "--gens", "2", "--trunc", "8", "2*x1 + 5*x1*x2 + x2"]),
+]
+for command, settings in (("diff", DIFF_SETTINGS), ("gamma", GAMMA_SETTINGS)):
+    for stem, args in settings:
+        CASES += [(stem + ".txt", [command, *args]), (stem + ".json", [command, "--json", *args])]
 _basis_args = ["omega-basis", "--gens", "2", "--weights", "2,1", "--trunc", "6", "--ring", "zmod=6"]
 CASES += [
     ("omega-basis_g2_w21_n6_zmod6.txt", _basis_args),
