@@ -21,7 +21,7 @@ suite.
 import random
 
 from .coeff import gamma_compose_coeff, is_prime, primes_up_to
-from .dpcore import basis_up_to, divided_power, dp_axiom_report, from_terms, random_element
+from .dpcore import basis_up_to, divided_powers, dp_axiom_report, from_terms, random_element
 from .envelope import (
     UNIT,
     phi_coefficient_modulus,
@@ -252,11 +252,12 @@ def semidirect_gamma(n, u):
     if n == 1:
         return u
     mod = u.module
+    gammas = divided_powers(n, u.a)
     vec = mod.phi_n(n, u.x)
     for i in range(1, n):
         phi_jx = mod.phi_n(n - i, u.x)
-        vec = mod.add_vec(vec, mod.act(divided_power(i, u.a), phi_jx))
-    return SemidirectElement(mod, divided_power(n, u.a), vec)
+        vec = mod.add_vec(vec, mod.act(gammas[i - 1], phi_jx))
+    return SemidirectElement(mod, gammas[-1], vec)
 
 
 def verify_beck_axioms(module, samples=200, seed=0, max_index=6):

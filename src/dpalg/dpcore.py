@@ -217,69 +217,59 @@ def gamma_gen(spec, gen, n):
     return DPElement(spec, {((gen, n),): 1})
 
 
-def _gamma_monomial(j, mono):
-    """(integer coefficient, monomial) with gamma_j(mono) = coeff * monomial.
+def divided_powers(n, element):
+    """[gamma_1(a), ..., gamma_n(a)] in one pass, by the exponential law.
 
-    Peels the first factor: gamma_j(gamma_e(x) * m') = gamma_e(x)^j *
-    gamma_j(m'), the power being what repeated application of the product
-    rule yields.
+    gamma_k(a + b) = sum_{i+j=k} gamma_i(a) gamma_j(b) makes the sequence of
+    a sum the truncated product of its terms' sequences.  A term c*m with
+    m = prod gamma_{e_i}(x_i) has gamma_j(c m) = g_j prod gamma_{j e_i}(x_i),
+    where g_j = g_{j-1} * c * prod C(j e_i, e_i) / j, both sides being
+    c^j m^j / j!.  One dict per index absorbs the terms of ``a`` one at a
+    time; it is updated from index n down, so that seq[k - j] still holds
+    the earlier terms only.  Weights are cut at N as terms are merged.
     """
-    gen, e = mono[0]
-    if len(mono) == 1:
-        return gamma_compose_coeff(j, e), ((gen, j * e),)
-    power_coeff = 1
-    for s in range(1, j):
-        power_coeff *= comb((s + 1) * e, e)
-    rest_coeff, rest = _gamma_monomial(j, mono[1:])
-    return power_coeff * rest_coeff, ((gen, j * e),) + rest
+    if n < 1:
+        raise ValueError("divided power index must be >= 1")
+    spec = element.spec
+    cap = spec.truncation
+    seq = [{} for _ in range(n + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
+    weight = {}
+    for mono, c in element.terms.items():
+        w = spec.monomial_weight(mono)
+        top = min(n, cap // w)
+        gammas = [None]
+        g = 1
+        for j in range(1, top + 1):
+            for _, e in mono:
+                g *= comb(j * e, e)
+            g = g // j * c
+            gammas.append((g, tuple((gen, j * e) for gen, e in mono), j * w))
+        for k in range(n, 0, -1):
+            out = seq[k]
+            for j in range(1, min(k - 1, top) + 1):
+                gcoeff, gmono, gweight = gammas[j]
+                for m, v in seq[k - j].items():
+                    total = weight[m] + gweight
+                    if total > cap:
+                        continue
+                    binom, merged = mono_mul(m, gmono)
+                    weight[merged] = total
+                    out[merged] = out.get(merged, 0) + v * gcoeff * binom
+            if k <= top:  # gamma_k(c m) itself, times gamma_0 of the earlier terms
+                gcoeff, gmono, weight[gmono] = gammas[k]
+                out[gmono] = out.get(gmono, 0) + gcoeff
+    normalize = spec.ring.normalize
+    return [
+        DPElement._raw(spec, {m: r for m, c in terms.items() if (r := normalize(c))})
+        for terms in seq[1:]
+    ]
 
 
 def divided_power(n, element):
-    """gamma_n of an arbitrary element, by multinomial expansion over its terms."""
-    if n < 1:
-        raise ValueError("divided power index must be >= 1")
+    """gamma_n of an arbitrary element: the last entry of ``divided_powers``."""
     if n == 1:
         return element
-    spec = element.spec
-    ring = spec.ring
-    cap = spec.truncation
-    term_list = element.sorted_terms()
-    weights = [spec.monomial_weight(m) for m, _ in term_list]
-    out = {}
-
-    def assign(k, left, coeff, mono, weight):
-        if weight > cap:
-            return
-        if k == len(term_list):
-            if left == 0:
-                c = ring.normalize(coeff)
-                if c:
-                    s = ring.add(out.get(mono, 0), c)
-                    if s == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-            return
-        mono_k, c_k = term_list[k]
-        upper = min(left, (cap - weight) // weights[k])
-        for nk in range(0, upper + 1):
-            if k == len(term_list) - 1 and nk != left:
-                continue
-            if nk == 0:
-                assign(k + 1, left, coeff, mono, weight)
-                continue
-            gcoeff, gmono = _gamma_monomial(nk, mono_k)
-            binom, merged = mono_mul(mono, gmono)
-            assign(
-                k + 1,
-                left - nk,
-                coeff * gcoeff * binom * ring.pow(c_k, nk),
-                merged,
-                weight + nk * weights[k],
-            )
-
-    assign(0, n, 1, (), 0)
-    return DPElement._raw(spec, out)
+    return divided_powers(n, element)[-1]
 
 
 def weight_components(element):

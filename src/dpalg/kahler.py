@@ -29,6 +29,7 @@ from .dpcore import (
     basis_up_to,
     coordinates,
     divided_power,
+    divided_powers,
     from_terms,
     position_index,
     random_element,
@@ -151,10 +152,10 @@ def phi_inversion(n, element):
     """phi_n(da) = d gamma_n(a) + sum_{i+j=n} (-1)^i gamma_i(a) d gamma_j(a)."""
     if n < 2:
         raise ValueError("inversion needs n >= 2")
-    out = universal_derivation(divided_power(n, element))
+    gammas = divided_powers(n, element)
+    out = universal_derivation(gammas[n - 1])
     for i in range(1, n):
-        term = universal_derivation(divided_power(n - i, element))
-        term = term.act_algebra(divided_power(i, element))
+        term = universal_derivation(gammas[n - i - 1]).act_algebra(gammas[i - 1])
         out = out + term.scale((-1) ** i)
     return out
 
@@ -224,14 +225,15 @@ def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2,
         ctx = f"a={a}, b={b}, n={n}"
         sa = s(a)
         sab = s(a * b)
-        s_gamma = {k: s(divided_power(k, a)) for k in {n, *primes}}
+        gammas = divided_powers(max(n, *primes), a)
+        s_gamma = {k: s(gammas[k - 1]) for k in {n, *primes}}
 
         rhs = module.add_vec(module.act(a, s(b)), module.act(b, sa))
         report.check("s(ab) = a s(b) + b s(a)", sab, rhs, ctx)
 
         rhs = module.phi_n(n, sa)
         for i in range(1, n):
-            rhs = module.add_vec(rhs, module.act(divided_power(i, a), module.phi_n(n - i, sa)))
+            rhs = module.add_vec(rhs, module.act(gammas[i - 1], module.phi_n(n - i, sa)))
         report.check("s(gamma_n a) = phi_n(sa) + sum gamma_i(a) phi_j(sa)", s_gamma[n], rhs, ctx)
 
         for p in primes:

@@ -293,10 +293,17 @@ class OmegaOracle:
 # The main-theorem and indecomposables verifiers
 
 
-def _closed_form_rep(oracle, entry):
-    """Representative in A ∐ A of the closed-form basis element."""
-    dx = oracle.derivation_rep(from_terms(oracle.spec, {entry.label: 1}))
-    rep = oracle.phi_rep(entry.phi, dx)
+def _closed_form_rep(oracle, entry, phi_dx):
+    """Representative in A ∐ A of the closed-form basis element.
+
+    ``phi_dx`` holds the representative of phi (x) dx_i per (label, phi), so
+    it is built once and shared by all of its A_+-multiples.
+    """
+    key = (entry.label, entry.phi)
+    if key not in phi_dx:
+        dx = oracle.derivation_rep(from_terms(oracle.spec, {entry.label: 1}))
+        phi_dx[key] = oracle.phi_rep(entry.phi, dx)
+    rep = phi_dx[key]
     if entry.amono is not None:
         shift = oracle.coproduct.include_left(from_terms(oracle.spec, {entry.amono: 1}))
         rep = shift * rep
@@ -310,15 +317,17 @@ def verify_main_theorem(spec):
     ring = spec.ring
     report = CheckReport(f"main theorem at rank {spec.generator_count}, N={spec.truncation}, {ring}")
 
+    phi_dx = {}
+    reps = {}
     phi_rows = {}
     for w in range(1, spec.truncation + 1):
         slice_w = oracle.slices[w]
         expected = invariant_factor_chain([e.annihilator for e in closed[w]], ring)
         report.check(f"invariant factors (w={w})", slice_w.factors, expected)
 
+        reps[w] = [_closed_form_rep(oracle, entry, phi_dx) for entry in closed[w]]
         rows = []
-        for entry in closed[w]:
-            rep = _closed_form_rep(oracle, entry)
+        for entry, rep in zip(closed[w], reps[w]):
             coords = oracle.to_kernel_coords(rep, w)
             rows.append(coords)
             if entry.annihilator:
@@ -357,8 +366,7 @@ def verify_main_theorem(spec):
 
     # phi-compatibility on generators where the expected image is zero.
     for w in range(1, spec.truncation + 1):
-        for entry in closed[w]:
-            rep = _closed_form_rep(oracle, entry)
+        for entry, rep in zip(closed[w], reps[w]):
             for p in primes_up_to(spec.truncation):
                 if p * w > spec.truncation:
                     continue
