@@ -154,16 +154,16 @@ class UElement:
         """The twisted product of U(A), which is also its action on modules.
 
         (c (x) unit) * (d (x) nu)      = c*d (x) nu      (product in A_+)
-        (c (x) mu)   * ((b, s) (x) nu) = c * s^(deg mu) (x) mu*nu   for mu != unit
+        (c (x) mu)   * ((b, s) (x) nu) = c * s^(p^e) (x) mu*nu = c*s (x) mu*nu
 
-        where b is the algebra part and s the scalar part of the A_+
-        coefficient; phi-monomials of distinct primes multiply to zero.  The
-        left factor must lie in U(A); each right term keeps its label.
+        for mu = phi_p^e, as that coefficient is kept mod p and s^(p^e) = s mod
+        p; b is the algebra part and s the scalar part of the A_+ coefficient.
+        Phi-monomials of distinct primes multiply to zero.  The left factor
+        must lie in U(A); each right term keeps its label.
         """
         self._require_same(other)
         if any(label for label, _, _ in self.terms):
             raise ValueError("the left factor of a product must lie in U(A)")
-        ring = self.spec.ring
         out = {}
         for (_, mu, c_mono), c in self.terms.items():
             for (label, nu, d_mono), d in other.terms.items():
@@ -177,7 +177,8 @@ class UElement:
                     phi = phi_mul(mu, nu)
                     if phi is None:
                         continue
-                    key, coeff = (label, phi, c_mono), c * ring.pow(d, phi_degree(mu))
+                    # d^(p^e) = d mod p, and this key's coefficient is reduced mod p.
+                    key, coeff = (label, phi, c_mono), c * d
                 else:
                     continue
                 out[key] = out.get(key, 0) + coeff
