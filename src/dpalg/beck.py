@@ -260,7 +260,11 @@ def semidirect_gamma(n, u):
     return SemidirectElement(mod, gammas[-1], vec)
 
 
-def verify_beck_axioms(module, samples=200, seed=0, max_index=6):
+AXIOM_MAX_INDEX = 6  # the sampled axioms take gamma indices in 1..6
+ABELIAN_MAX_INDEX = 12  # the abelian structure laws cover gamma_n for n <= 12
+
+
+def verify_beck_axioms(module, samples=200, seed=0):
     """Run the full DP axiom suite on the semidirect extension A (+) M."""
 
     def sample(rng):
@@ -273,12 +277,12 @@ def verify_beck_axioms(module, samples=200, seed=0, max_index=6):
         semidirect_gamma,
         samples,
         seed,
-        max_index,
+        AXIOM_MAX_INDEX,
         title=f"Beck module axioms over {module.spec.ring} (rank {module.rank})",
     )
 
 
-def verify_abelian_structure(module, samples=200, seed=0, max_index=12, gamma_override=None):
+def verify_abelian_structure(module, samples=200, seed=0, gamma_override=None):
     """Check the structure laws of an abelian DP algebra given by phi-tables.
 
     The module is read as a trivial-product DP algebra with gamma_n = phi_n.
@@ -295,13 +299,13 @@ def verify_abelian_structure(module, samples=200, seed=0, max_index=12, gamma_ov
 
     rng = random.Random(seed)
     report = CheckReport(f"abelian DP structure (rank {mod.rank} over {mod.spec.ring})")
-    primes = primes_up_to(max_index)
-    prime_powers = {n for n in range(2, max_index + 1) if phi_of(n) is not None}
+    primes = primes_up_to(ABELIAN_MAX_INDEX)
+    prime_powers = {n for n in range(2, ABELIAN_MAX_INDEX + 1) if phi_of(n) is not None}
     for _ in range(samples):
         x = mod.random_vec(rng)
         y = mod.random_vec(rng)
         r = mod.spec.ring.normalize(rng.randint(-9, 9))
-        for n in range(2, max_index + 1):
+        for n in range(2, ABELIAN_MAX_INDEX + 1):
             if n not in prime_powers:
                 report.check(
                     "gamma_n = 0 unless n is a prime power",
@@ -329,7 +333,7 @@ def verify_abelian_structure(module, samples=200, seed=0, max_index=12, gamma_ov
                 context=f"p={p}, r={r}",
             )
             e = 2
-            while p**e <= max_index:
+            while p**e <= ABELIAN_MAX_INDEX:
                 iterated = x
                 for _ in range(e):
                     iterated = gamma(p, iterated)
@@ -340,7 +344,7 @@ def verify_abelian_structure(module, samples=200, seed=0, max_index=12, gamma_ov
                     context=f"p={p}, e={e}",
                 )
                 e += 1
-            if p * p <= max_index:
+            if p * p <= ABELIAN_MAX_INDEX:
                 coeff = mod.spec.ring.normalize(gamma_compose_coeff(p, p))
                 report.check(
                     "composition coefficient acts as 1 (Cartan)",

@@ -206,12 +206,20 @@ def apply_table(table, element, module):
     return out
 
 
-def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2, 3, 5, 7)):
+DERIVATION_MAX_INDEX = 6  # the sampled gamma law takes n in 2..6
+
+
+def is_dp_derivation(table, module, samples=200, seed=0):
     """Check the two derivation laws plus the three consequence identities.
 
     ``table`` gives the values of s on basis monomials; s extends linearly.
+    phi_p runs over the primes with a table in ``module`` (any other phi_p is
+    zero by construction) and q over the primes up to N (gamma_q vanishes
+    above N).
     """
     spec = module.spec
+    phi_primes = sorted(module.phi_action)
+    gamma_primes = primes_up_to(spec.truncation)
     rng = random.Random(seed)
     report = CheckReport(f"DP derivation laws over {spec.ring} (rank {spec.generator_count})")
 
@@ -221,12 +229,13 @@ def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2,
     for _ in range(samples):
         a = random_element(spec, rng, max_terms=2)
         b = random_element(spec, rng, max_terms=2)
-        n = rng.randint(2, max_index)
+        n = rng.randint(2, DERIVATION_MAX_INDEX)
         ctx = f"a={a}, b={b}, n={n}"
         sa = s(a)
         sab = s(a * b)
-        gammas = divided_powers(max(n, *primes), a)
-        s_gamma = {k: s(gammas[k - 1]) for k in {n, *primes}}
+        indices = {n, *phi_primes, *gamma_primes}
+        gammas = divided_powers(max(indices), a)
+        s_gamma = {k: s(gammas[k - 1]) for k in indices}
 
         rhs = module.add_vec(module.act(a, s(b)), module.act(b, sa))
         report.check("s(ab) = a s(b) + b s(a)", sab, rhs, ctx)
@@ -236,14 +245,14 @@ def is_dp_derivation(table, module, samples=200, seed=0, max_index=6, primes=(2,
             rhs = module.add_vec(rhs, module.act(gammas[i - 1], module.phi_n(n - i, sa)))
         report.check("s(gamma_n a) = phi_n(sa) + sum gamma_i(a) phi_j(sa)", s_gamma[n], rhs, ctx)
 
-        for p in primes:
+        for p in phi_primes:
             report.check(
                 "phi_p(s(ab)) = 0",
                 module.phi_p(p, sab),
                 module.zero_vec(),
                 f"p={p}, {ctx}",
             )
-            for q in primes:
+            for q in gamma_primes:
                 if q == p:
                     continue
                 report.check(
