@@ -13,7 +13,6 @@ explicit representatives, so the divided-power structure is exercised on
 actual elements rather than formulas.
 """
 
-import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -130,35 +129,6 @@ class ProductElement:
 
     def __str__(self):
         return f"({self.a}, {self.b})"
-
-
-def unital_product_collapse(module, samples=100, seed=0):
-    """On a trivial-product algebra, the only unital product is addition.
-
-    The sections mu(x, 0) = x and mu(0, y) = y force mu(x, y) = x + y by
-    additivity; this checks that the forced map is indeed an algebra map for
-    the trivial product (for algebras with a nonzero product it is not).
-    """
-    rng = random.Random(seed)
-    report = CheckReport(f"unital product collapse (rank {module.rank})")
-
-    def mu(x, y):
-        return module.add_vec(x, y)
-
-    for _ in range(samples):
-        x, y = module.random_vec(rng), module.random_vec(rng)
-        x2, y2 = module.random_vec(rng), module.random_vec(rng)
-        report.check("mu(x, 0) = x", mu(x, module.zero_vec()), x)
-        report.check("mu(0, y) = y", mu(module.zero_vec(), y), y)
-        # componentwise product is zero, and so is the product in the target
-        report.check(
-            "mu is an algebra map",
-            mu(module.zero_vec(), module.zero_vec()),
-            module.zero_vec(),
-            context=f"x={x}, y={y}, x'={x2}, y'={y2}",
-        )
-        report.check("mu = addition", mu(x, y), module.add_vec(x, y))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from dpalg.coeff import Ring, ZZ
-from dpalg.beck import trivial_module
 from dpalg.dpcore import (
     basis_of_weight,
     divided_power,
@@ -19,7 +18,6 @@ from dpalg.oracle import (
     ProductElement,
     coproduct,
     fold_kernel,
-    unital_product_collapse,
     verify_indecomposables,
     verify_main_theorem,
 )
@@ -195,12 +193,6 @@ def test_direct_product_terminal_factor():
         assert (u * v).b == a * b
         assert u.gamma(3).b == divided_power(3, a)
         assert (u * v).a.is_zero()
-
-
-def test_unital_product_collapse_on_trivial_algebra():
-    module = trivial_module(RANK1, (0, 2, 3))
-    report = unital_product_collapse(module, samples=50, seed=1)
-    assert report.passed
 
 
 def test_unital_product_fails_for_nontrivial_product():
