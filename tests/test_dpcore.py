@@ -11,6 +11,7 @@ from dpalg.dpcore import (
     basis_of_weight,
     coordinates,
     divided_power,
+    divided_powers,
     dp_axiom_report,
     dp_map_apply,
     format_element,
@@ -109,17 +110,32 @@ def test_power_equals_factorial_times_gamma():
 
 
 def test_power_identity_on_general_elements():
-    # a^n = n! gamma_n(a) for arbitrary elements over Z: an independent
-    # route through repeated multiplication that exercises the multinomial
-    # expansion of divided_power across several terms.
+    # Every entry of divided_powers against independent routes: over Z,
+    # k! gamma_k(a) = a^k by repeated multiplication; over Z/4 and Z/6, the
+    # entries are those of the lifted element over Z, reduced.  Elements of up
+    # to four terms with arbitrary coefficients exercise the order in which
+    # the exponential law absorbs terms and its c^j scaling of each term.
     rng = random.Random(77)
-    for _ in range(40):
-        a = random_element(RANK2, rng, max_terms=4)
-        n = rng.randint(2, 4)
-        power = a
-        for _ in range(n - 1):
-            power = power * a
-        assert power == divided_power(n, a).scale(factorial(n))
+    for weights in ((1, 1), (1, 2)):
+        spec = free_spec(ZZ, 2, 8, weights=weights)
+        for _ in range(40):
+            a = random_element(spec, rng, max_terms=4)
+            n = rng.randint(2, 5)
+            gammas = divided_powers(n, a)
+            assert len(gammas) == n
+            power = a
+            for k, gamma in enumerate(gammas, 1):
+                assert power == gamma.scale(factorial(k))
+                power = power * a
+            m = rng.randint(1, n)
+            assert divided_powers(m, a) == gammas[:m]
+        for modulus in (4, 6):
+            reduced = free_spec(Ring(modulus), 2, 8, weights=weights)
+            for _ in range(20):
+                a = random_element(reduced, rng, max_terms=4)
+                n = rng.randint(2, 5)
+                lifted = divided_powers(n, DPElement(spec, a.terms))
+                assert divided_powers(n, a) == [DPElement(reduced, g.terms) for g in lifted]
 
 
 def test_weight_components():

@@ -1,0 +1,41 @@
+"""Property tests of divided_powers, drawn and shrunk by hypothesis.
+
+Skipped when hypothesis is not installed (it is in the ``test`` extra).
+"""
+
+from math import comb
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from dpalg.coeff import Ring, ZZ
+from dpalg.dpcore import DPElement, basis_up_to, divided_powers, free_spec
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one algebra over Z, Z/4 or Z/6, of rank 1 or 2 with weights 1 or 2."""
+    ring = draw(st.sampled_from((ZZ, Ring(4), Ring(6))))
+    weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    spec = free_spec(ring, len(weights), draw(st.integers(4, 8)), weights=weights)
+    terms = st.dictionaries(st.sampled_from(basis_up_to(spec)), st.integers(-9, 9), max_size=3)
+    return DPElement(spec, draw(terms)), DPElement(spec, draw(terms))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(element_pairs(), st.integers(1, 6))
+def test_exponential_law_and_product_rule(pair, n):
+    a, b = pair
+    gamma_a, gamma_b = divided_powers(n, a), divided_powers(n, b)
+    gamma_sum = divided_powers(n, a + b)
+    for k in range(1, n + 1):
+        expected = gamma_a[k - 1] + gamma_b[k - 1]
+        for i in range(1, k):
+            expected = expected + gamma_a[i - 1] * gamma_b[k - i - 1]
+        assert gamma_sum[k - 1] == expected, f"gamma_{k}(a + b)"
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            product = gamma_a[i - 1] * gamma_a[j - 1]
+            assert product == gamma_a[i + j - 1].scale(comb(i + j, i)), f"gamma_{i} gamma_{j}"
