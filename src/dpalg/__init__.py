@@ -19,6 +19,7 @@ from .dpcore import (
     DPElement,
     basis_of_weight,
     divided_power,
+    divided_powers,
     dp_axiom_report,
     dp_map_apply,
     format_element,
@@ -72,6 +73,7 @@ __all__ = [
     "cartan_congruence_residue",
     "coproduct",
     "divided_power",
+    "divided_powers",
     "dp_axiom_report",
     "dp_map_apply",
     "env_algebra",

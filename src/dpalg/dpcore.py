@@ -8,7 +8,9 @@ with at least one factor (the algebras are non-unital).  A monomial is stored
 as a tuple of (generator, exponent) pairs and has weight sum(e * w_gen).  The
 truncation N quotients by the ideal of weight > N, so every operation is
 finite; products and divided powers never lower weight, which makes dropping
-overweight terms sound.
+overweight terms sound.  ``divided_powers(n, a)`` returns gamma_1(a) ...
+gamma_n(a) at once by the exponential law gamma_k(a + b) = sum_{i+j=k}
+gamma_i(a) gamma_j(b), and ``divided_power`` is its last entry.
 
 >>> spec = AlgebraSpec(ZZ, (1, 1), 8)
 >>> x, y = gamma_gen(spec, 0, 1), gamma_gen(spec, 1, 1)
@@ -18,6 +20,8 @@ overweight terms sound.
 2*g2(x1)
 >>> print(divided_power(2, x + y))
 g2(x1) + x1*x2 + g2(x2)
+>>> print(*divided_powers(3, x.scale(2)), sep=", ")
+2*x1, 4*g2(x1), 8*g3(x1)
 """
 
 from dataclasses import dataclass
@@ -256,7 +260,8 @@ def divided_powers(n, element):
                     weight[merged] = total
                     out[merged] = out.get(merged, 0) + v * gcoeff * binom
             if k <= top:  # gamma_k(c m) itself, times gamma_0 of the earlier terms
-                gcoeff, gmono, weight[gmono] = gammas[k]
+                gcoeff, gmono, gweight = gammas[k]
+                weight[gmono] = gweight
                 out[gmono] = out.get(gmono, 0) + gcoeff
     normalize = spec.ring.normalize
     return [
