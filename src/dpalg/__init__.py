@@ -22,7 +22,6 @@ from .dpcore import (
     divided_powers,
     dp_axiom_report,
     dp_map_apply,
-    format_element,
     free_spec,
     gamma_gen,
     weight_components,
@@ -80,7 +79,6 @@ __all__ = [
     "env_phi",
     "env_unit",
     "fold_kernel",
-    "format_element",
     "free_basis",
     "free_spec",
     "gamma_compose_coeff",

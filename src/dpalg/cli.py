@@ -19,7 +19,7 @@ import json
 import sys
 
 from .coeff import Ring, ZZ
-from .dpcore import AlgebraSpec, DPElement, divided_power, format_element
+from .dpcore import AlgebraSpec, DPElement, divided_power
 from .envelope import UNIT
 from .kahler import indecomposables, omega_free_basis, universal_derivation
 from .oracle import verify_indecomposables, verify_main_theorem
@@ -185,7 +185,7 @@ def run(argv):
                 print(
                     json.dumps(element_to_json(element), indent=2)
                     if args.json
-                    else format_element(element)
+                    else element
                 )
             return 0
 

@@ -98,28 +98,33 @@ def monomial_sort_key(spec, mono):
     return (spec.monomial_weight(mono), tuple(-e for e in exponents))
 
 
-class DPElement:
-    """An element of a truncated free DP algebra, in canonical form."""
+class SparseElement:
+    """A finite combination of keys in canonical form: ``terms`` maps each key
+    of weight <= N to its reduced, nonzero coefficient.
+
+    The algebra elements here and the U(A)-module elements of ``envelope``
+    share this core.  A subclass supplies ``__mul__`` and four hooks:
+    ``_weigh(spec, key)``, ``_reduce(ring, key, c)``, ``_sort_key(spec, key)``
+    and ``_format_key(key)``, the text of a key (empty for a unit).  Sums only
+    re-reduce where keys collide, since both operands are canonical.
+    """
 
     __slots__ = ("spec", "terms")
 
     def __init__(self, spec, terms=None):
+        """The canonical form of ``terms``: truncated, reduced, zero-free."""
         self.spec = spec
         self.terms = {}
         if terms:
-            for mono, c in terms.items():
-                c = spec.ring.normalize(c)
-                if c != 0 and spec.monomial_weight(mono) <= spec.truncation:
-                    self.terms[mono] = c
+            weigh, reduce, ring, cap = self._weigh, self._reduce, spec.ring, spec.truncation
+            for key, c in terms.items():
+                if weigh(spec, key) <= cap:
+                    c = reduce(ring, key, c)
+                    if c:
+                        self.terms[key] = c
 
     def is_zero(self):
         return not self.terms
-
-    def weight(self):
-        """Max weight of a term (None for 0)."""
-        if not self.terms:
-            return None
-        return max(self.spec.monomial_weight(m) for m in self.terms)
 
     def _require_same(self, other):
         if self.spec != other.spec:
@@ -127,32 +132,93 @@ class DPElement:
 
     def __add__(self, other):
         self._require_same(other)
+        ring, reduce = self.spec.ring, self._reduce
         out = dict(self.terms)
-        ring = self.spec.ring
-        for mono, c in other.terms.items():
-            s = ring.add(out.get(mono, 0), c)
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+        for key, c in other.terms.items():
+            if key in out:
+                c = reduce(ring, key, out[key] + c)
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
         return self._raw(self.spec, out)
 
     def __neg__(self):
-        ring = self.spec.ring
-        return self._raw(self.spec, {m: ring.neg(c) for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        ring = self.spec.ring
-        scalar = ring.normalize(scalar)
+        ring, reduce = self.spec.ring, self._reduce
         out = {}
-        for mono, c in self.terms.items():
-            s = ring.mul(c, scalar)
-            if s != 0:
-                out[mono] = s
+        for key, c in self.terms.items():
+            c = reduce(ring, key, c * scalar)
+            if c:
+                out[key] = c
         return self._raw(self.spec, out)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.spec == other.spec and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.spec, frozenset(self.terms.items())))
+
+    def sorted_terms(self):
+        spec, sort_key = self.spec, self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: sort_key(spec, kv[0]))
+
+    def __str__(self):
+        """Canonical text form; for algebra elements it parses back to the element."""
+        if not self.terms:
+            return "0"
+        signed = self.spec.ring.modulus == 0
+        text = ""
+        for key, c in self.sorted_terms():
+            negative = signed and c < 0
+            mag = -c if negative else c
+            body = self._format_key(key)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            if text:
+                text += (" - " if negative else " + ") + body
+            else:
+                text = ("-" if negative else "") + body
+        return text
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
+
+    @classmethod
+    def _raw(cls, spec, terms):
+        el = object.__new__(cls)
+        el.spec = spec
+        el.terms = terms
+        return el
+
+
+def format_monomial(mono):
+    parts = []
+    for gen, e in mono:
+        parts.append(f"x{gen + 1}" if e == 1 else f"g{e}(x{gen + 1})")
+    return "*".join(parts)
+
+
+def _normalize(ring, mono, c):
+    return ring.normalize(c)
+
+
+class DPElement(SparseElement):
+    """An element of a truncated free DP algebra, in canonical form."""
+
+    __slots__ = ()
+
+    _weigh = staticmethod(AlgebraSpec.monomial_weight)
+    _reduce = staticmethod(_normalize)
+    _sort_key = staticmethod(monomial_sort_key)
+    _format_key = staticmethod(format_monomial)
 
     def __mul__(self, other):
         self._require_same(other)
@@ -176,32 +242,6 @@ class DPElement:
                 else:
                     out[mono] = s
         return self._raw(spec, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DPElement)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(self.spec, kv[0]))
-
-    def __str__(self):
-        return format_element(self)
-
-    def __repr__(self):
-        return f"<DPElement {self}>"
-
-    @classmethod
-    def _raw(cls, spec, terms):
-        el = object.__new__(cls)
-        el.spec = spec
-        el.terms = terms
-        return el
 
 
 def zero(spec):
@@ -350,35 +390,6 @@ def dp_map_apply(images, element):
                 break
         result = result + product.scale(c)
     return result
-
-
-def format_monomial(mono):
-    parts = []
-    for gen, e in mono:
-        parts.append(f"x{gen + 1}" if e == 1 else f"g{e}(x{gen + 1})")
-    return "*".join(parts)
-
-
-def format_element(element):
-    """Canonical text form; parses back to the same element."""
-    if element.is_zero():
-        return "0"
-    ring = element.spec.ring
-    pieces = []
-    for mono, c in element.sorted_terms():
-        if ring.modulus == 0 and c < 0:
-            sign, mag = " - ", -c
-        else:
-            sign, mag = " + ", c
-        body = format_monomial(mono)
-        if mag != 1:
-            body = f"{mag}*{body}"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    text = ("-" if first_sign == " - " else "") + first_body
-    for sign, body in pieces[1:]:
-        text += sign + body
-    return text
 
 
 def random_element(spec, rng, max_terms=3, coeff_bound=9, max_weight=None):

@@ -24,7 +24,7 @@ right-hand scalars through the twist.
 from math import gcd
 
 from .coeff import prime_power_decomposition, prime_powers_up_to
-from .dpcore import format_monomial, mono_mul, monomial_sort_key
+from .dpcore import SparseElement, format_monomial, mono_mul, monomial_sort_key
 
 UNIT = ()
 
@@ -96,59 +96,27 @@ def format_term(key):
     return "*".join(factors)
 
 
-def _reduce(ring, phi, c):
+def _reduce_coefficient(ring, key, c):
+    """c in R for a unit phi-part, in R/p for phi_p^e (see phi_coefficient_modulus)."""
+    phi = key[1]
     return ring.normalize(c) if phi == UNIT else c % phi_coefficient_modulus(ring, phi[0])
 
 
-class UElement:
+def _term_order(spec, key):
+    """Terms by label, then phi, then the A_+ part (unit first)."""
+    label, phi, amono = key
+    return (label, phi_sort_key(phi), (0,) if amono is None else (1, monomial_sort_key(spec, amono)))
+
+
+class UElement(SparseElement):
     """An element of U(A) or of a free left U(A)-module on monomial labels."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
 
-    def __init__(self, spec, terms=None):
-        """The canonical form of ``terms``: truncated, reduced, zero-free."""
-        self.spec = spec
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if term_weight(spec, key) <= spec.truncation:
-                c = _reduce(spec.ring, key[1], c)
-                if c:
-                    self.terms[key] = c
-
-    def is_zero(self):
-        return not self.terms
-
-    def _require_same(self, other):
-        if self.spec != other.spec:
-            raise ValueError("elements live over different algebras")
-
-    def __add__(self, other):
-        self._require_same(other)
-        ring = self.spec.ring
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in out:
-                c = _reduce(ring, key[1], out[key] + c)
-                if not c:
-                    del out[key]
-                    continue
-            out[key] = c
-        return self._raw(self.spec, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        ring = self.spec.ring
-        out = {}
-        for key, v in self.terms.items():
-            v = _reduce(ring, key[1], v * c)
-            if v:
-                out[key] = v
-        return self._raw(self.spec, out)
+    _weigh = staticmethod(term_weight)
+    _reduce = staticmethod(_reduce_coefficient)
+    _sort_key = staticmethod(_term_order)
+    _format_key = staticmethod(format_term)
 
     def __mul__(self, other):
         """The twisted product of U(A), which is also its action on modules.
@@ -204,50 +172,6 @@ class UElement:
         if len(weights) > 1:
             raise ValueError(f"inhomogeneous element, weights {sorted(weights)}")
         return weights.pop() if weights else None
-
-    def sorted_terms(self):
-        """Terms by label, then phi, then the A_+ part (unit first)."""
-
-        def order(item):
-            label, phi, amono = item[0]
-            mono_key = (0,) if amono is None else (1, monomial_sort_key(self.spec, amono))
-            return (label, phi_sort_key(phi), mono_key)
-
-        return sorted(self.terms.items(), key=order)
-
-    def __eq__(self, other):
-        return isinstance(other, UElement) and self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        text = ""
-        for key, c in self.sorted_terms():
-            negative = self.spec.ring.modulus == 0 and c < 0
-            mag = -c if negative else c
-            body = format_term(key)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            if text:
-                text += (" - " if negative else " + ") + body
-            else:
-                text = ("-" if negative else "") + body
-        return text
-
-    def __repr__(self):
-        return f"<UElement {self}>"
-
-    @classmethod
-    def _raw(cls, spec, terms):
-        el = object.__new__(cls)
-        el.spec = spec
-        el.terms = terms
-        return el
 
 
 def env_unit(spec, scalar=1):
