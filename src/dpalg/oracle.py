@@ -14,7 +14,7 @@ actual elements rather than formulas.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .coeff import ZZ, primes_up_to
 from .dpcore import (
@@ -23,6 +23,7 @@ from .dpcore import (
     basis_up_to,
     coordinates,
     divided_power,
+    divided_powers,
     dp_map_apply,
     from_terms,
     gamma_gen,
@@ -135,6 +136,16 @@ class ProductElement:
 # Fold map, kernel I, and I / I^2
 
 
+def pair_products(groups, w):
+    """u * v over unordered pairs from ``groups`` (weight -> elements) whose
+    weights sum to w, lighter factor first."""
+    for w1 in range(1, w // 2 + 1):
+        left, right = groups[w1], groups[w - w1]
+        pairs = combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right)
+        for u, v in pairs:
+            yield u * v
+
+
 @dataclass
 class FoldSlice:
     weight: int
@@ -187,15 +198,7 @@ class OmegaOracle:
         elements = {}
         for w in range(1, spec.truncation + 1):
             fold = fold_slices[w]
-            rows = []
-            for w1 in range(1, w // 2 + 1):
-                left, right = elements[w1], elements[w - w1]
-                if 2 * w1 == w:
-                    pairs = combinations_with_replacement(left, 2)
-                else:
-                    pairs = ((u, v) for u in left for v in right)
-                for u, v in pairs:
-                    rows.append(self._kernel_coords(u * v, fold))
+            rows = [self._kernel_coords(uv, fold) for uv in pair_products(elements, w)]
             if spec.ring.modulus:
                 # m Z^B sits inside the lifted kernel; quotient by it too.
                 for j in range(len(fold.domain_basis)):
@@ -231,6 +234,16 @@ class OmegaOracle:
                     self._kernel_coords(divided_power(p, el), target) for el in elements[w]
                 ]
         return tables
+
+    def phi_coords(self, p, w, coords):
+        """Kernel coordinates at weight p*w of gamma_p of the class with kernel
+        coordinates ``coords`` at weight w: sum c_k^p phi_tables[(w, p)][k], as
+        gamma_p is p-semilinear on I modulo I^2 (its cross terms lie in I^2)."""
+        out = [0] * len(self.slices[p * w].kernel)
+        for c, image in zip(coords, self.phi_tables[(w, p)]):
+            if c:
+                out = [o + c**p * x for o, x in zip(out, image)]
+        return out
 
     def kernel_element(self, w, row):
         """The coproduct-algebra element with the given ambient coordinates."""
@@ -288,17 +301,15 @@ def verify_main_theorem(spec):
     report = CheckReport(f"main theorem at rank {spec.generator_count}, N={spec.truncation}, {ring}")
 
     phi_dx = {}
-    reps = {}
     phi_rows = {}
     for w in range(1, spec.truncation + 1):
         slice_w = oracle.slices[w]
         expected = invariant_factor_chain([e.annihilator for e in closed[w]], ring)
         report.check(f"invariant factors (w={w})", slice_w.factors, expected)
 
-        reps[w] = [_closed_form_rep(oracle, entry, phi_dx) for entry in closed[w]]
         rows = []
-        for entry, rep in zip(closed[w], reps[w]):
-            coords = oracle.to_kernel_coords(rep, w)
+        for entry in closed[w]:
+            coords = oracle.to_kernel_coords(_closed_form_rep(oracle, entry, phi_dx), w)
             rows.append(coords)
             if entry.annihilator:
                 scaled = [entry.annihilator * c for c in coords]
@@ -334,18 +345,17 @@ def verify_main_theorem(spec):
                 context=f"monomial {mono}",
             )
 
-    # phi-compatibility on generators where the expected image is zero.
+    # phi-compatibility, through the induced tables, where the expected image is zero.
     for w in range(1, spec.truncation + 1):
-        for entry, rep in zip(closed[w], reps[w]):
+        for entry, coords in zip(closed[w], phi_rows[w]):
             for p in primes_up_to(spec.truncation):
                 if p * w > spec.truncation:
                     continue
                 if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
                     continue  # phi_p of these is another basis rep by construction
-                image = divided_power(p, rep)
                 report.check(
                     f"phi_{p} kills A_+-multiples and foreign primes (w={w})",
-                    oracle.class_is_zero(image, p * w),
+                    in_lattice(oracle.slices[p * w].relation_hnf, oracle.phi_coords(p, w, coords)),
                     True,
                     context=str(entry),
                 )
@@ -369,20 +379,19 @@ def verify_main_theorem(spec):
                 True,
                 context=f"{mono_a} * {mono_b}",
             )
-        for n in range(2, spec.truncation // wa + 1):
-            da = oracle.derivation_rep(a)
-            lhs = oracle.derivation_rep(divided_power(n, a))
-            phi_n = phi_of(n)
-            if phi_n is not None:
-                total = oracle.phi_rep(phi_n, da)
-            else:
-                total = algebra_zero(oracle.coproduct.spec)
+        # gamma_j(a), its image in the left summand and phi_j(da), once per monomial.
+        gammas = divided_powers(spec.truncation // wa, a)
+        left = [oracle.coproduct.include_left(g) for g in gammas]
+        da = oracle.derivation_rep(a)
+        phi_da = {
+            j: oracle.phi_rep(phi, da) for j in range(1, len(gammas) + 1) if (phi := phi_of(j)) is not None
+        }
+        for n in range(2, len(gammas) + 1):
+            lhs = oracle.derivation_rep(gammas[n - 1])
+            total = phi_da.get(n, algebra_zero(oracle.coproduct.spec))
             for i in range(1, n):
-                phi_j = phi_of(n - i)
-                if phi_j is None:
-                    continue
-                piece = oracle.coproduct.include_left(divided_power(i, a)) * oracle.phi_rep(phi_j, da)
-                total = total + piece
+                if n - i in phi_da:
+                    total = total + left[i - 1] * phi_da[n - i]
             report.check(
                 f"derivation gamma-law in I/I^2 (w={n * wa})",
                 oracle.class_is_zero(lhs - total, n * wa),
@@ -399,21 +408,12 @@ def verify_indecomposables(spec):
     report = CheckReport(
         f"indecomposables at rank {spec.generator_count}, N={spec.truncation}, {ring}"
     )
+    monomials = {}
     for w in range(1, spec.truncation + 1):
         basis = basis_of_weight(spec, w)
         index = position_index(basis)
-        rows = []
-        for w1 in range(1, w // 2 + 1):
-            w2 = w - w1
-            left = basis_of_weight(spec, w1)
-            right = basis_of_weight(spec, w2)
-            if w1 == w2:
-                pairs = [(m, n) for m, n in combinations_with_replacement(left, 2)]
-            else:
-                pairs = [(m, n) for m in left for n in right]
-            for m, n in pairs:
-                product = from_terms(spec, {m: 1}) * from_terms(spec, {n: 1})
-                rows.append(coordinates(product, index))
+        rows = [coordinates(mn, index) for mn in pair_products(monomials, w)]
+        monomials[w] = [from_terms(spec, {m: 1}) for m in basis]
         got = cokernel_factors(len(basis), rows, ring)
         expected = invariant_factor_chain(closed.annihilators_of_weight(w), ring)
         report.check(f"A/A^2 slice (w={w})", got, expected)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dpalg.coeff import Ring, ZZ
+from dpalg.coeff import Ring, ZZ, primes_up_to
 from dpalg.dpcore import (
     basis_of_weight,
     divided_power,
@@ -13,9 +13,12 @@ from dpalg.dpcore import (
     gamma_gen,
     random_element,
 )
+from dpalg.kahler import omega_free_basis
+from dpalg.linalg import in_lattice
 from dpalg.oracle import (
     OmegaOracle,
     ProductElement,
+    _closed_form_rep,
     coproduct,
     fold_kernel,
     verify_indecomposables,
@@ -135,6 +138,33 @@ def test_induced_phi2_on_weight1_class():
     assert oracle.slices[1].kernel == [[1, -1]]
     assert oracle.slices[2].kernel == [[1, 0, -1], [0, 1, -2]]
     assert oracle.phi_tables[(1, 2)] == [[1, -1]]
+
+
+@pytest.mark.parametrize(
+    "rank, truncation, ring", [(1, 8, ZZ), (2, 5, ZZ), (2, 4, Ring(6))], ids=["1-8-Z", "2-5-Z", "2-4-Z/6"]
+)
+def test_phi_coords_match_the_direct_class(rank, truncation, ring):
+    # On every closed-form entry and prime, the table-based phi_p agrees with
+    # the class of gamma_p(rep) modulo I^2.  phi_p of a unit-A_+ entry with
+    # phi-part 1 or a power of p is another basis element, hence nonzero, so
+    # a phi_coords that returned zeros would fail here.
+    spec = free_spec(ring, rank, truncation)
+    oracle = OmegaOracle(spec)
+    compared = nonzero = 0
+    for w, entries in omega_free_basis(spec).items():
+        for entry in entries:
+            rep = _closed_form_rep(oracle, entry, {})
+            coords = oracle.to_kernel_coords(rep, w)
+            for p in primes_up_to(truncation // w):
+                relations = oracle.slices[p * w].relation_hnf
+                direct = oracle.to_kernel_coords(divided_power(p, rep), p * w)
+                via_tables = oracle.phi_coords(p, w, coords)
+                assert in_lattice(relations, [d - t for d, t in zip(direct, via_tables)]), (entry, p)
+                compared += 1
+                if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
+                    assert not in_lattice(relations, direct), (entry, p)
+                    nonzero += 1
+    assert compared > nonzero > 0
 
 
 def test_verify_main_theorem_small():
