@@ -102,11 +102,10 @@ class SparseElement:
     """A finite combination of keys in canonical form: ``terms`` maps each key
     of weight <= N to its reduced, nonzero coefficient.
 
-    The algebra elements here and the U(A)-module elements of ``envelope``
-    share this core.  A subclass supplies ``__mul__`` and four hooks:
-    ``_weigh(spec, key)``, ``_reduce(ring, key, c)``, ``_sort_key(spec, key)``
-    and ``_format_key(key)``, the text of a key (empty for a unit).  Sums only
-    re-reduce where keys collide, since both operands are canonical.
+    DPElement and ``envelope.UElement`` share this core.  Each supplies
+    ``__mul__`` and four hooks: ``_weigh(spec, key)``, ``_reduce(ring, key,
+    c)``, ``_sort_key(spec, key)`` and ``_format_key(key)`` (empty for a unit
+    key).  Sums re-reduce only where keys collide: both operands are canonical.
     """
 
     __slots__ = ("spec", "terms")
@@ -206,17 +205,13 @@ def format_monomial(mono):
     return "*".join(parts)
 
 
-def _normalize(ring, mono, c):
-    return ring.normalize(c)
-
-
 class DPElement(SparseElement):
     """An element of a truncated free DP algebra, in canonical form."""
 
     __slots__ = ()
 
     _weigh = staticmethod(AlgebraSpec.monomial_weight)
-    _reduce = staticmethod(_normalize)
+    _reduce = staticmethod(lambda ring, mono, c: ring.normalize(c))
     _sort_key = staticmethod(monomial_sort_key)
     _format_key = staticmethod(format_monomial)
 

@@ -13,12 +13,19 @@ of A, a label weighing what the monomial weighs:
 - any monomial b is [b], so all monomials span the ambient U(A) (x) A.
 
 The element maps keys (label, phi, amono) to coefficients, the key standing
-for (amono (x) phi) (x) [label] with amono None the unit of A_+.  A term
-weighs w(amono) + deg(phi) * w(label) and is dropped past the truncation.
+for (amono (x) phi) (x) [label] with amono None the unit of A_+.  It shares
+its canonical form, sums, equality and printing with DPElement
+(``dpcore.SparseElement``) and differs in four hooks.  A term weighs
+w(amono) + deg(phi) * w(label) and is dropped past the truncation.
 Coefficients of phi_p^e are kept reduced mod p (mod gcd(p, m) over Z/m, hence
-dropped whenever p is invertible).  Scalars do not commute past
-phi-monomials: each coefficient sits on the left, and products route
-right-hand scalars through the twist.
+dropped whenever p is invertible).  Terms sort by label, phi, then amono.
+Scalars do not commute past phi-monomials: each coefficient sits on the
+left, and products route right-hand scalars through the twist.
+
+>>> from dpalg import ZZ, free_spec
+>>> spec = free_spec(ZZ, 2, 6)
+>>> print(env_phi(spec, 3, scalar=5) - env_unit(spec, 2))
+-2 + 2*ph3
 """
 
 from math import gcd
