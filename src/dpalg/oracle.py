@@ -408,12 +408,12 @@ def verify_indecomposables(spec):
     report = CheckReport(
         f"indecomposables at rank {spec.generator_count}, N={spec.truncation}, {ring}"
     )
-    monomials = {}
+    elements = {}  # basis monomials as elements, by weight
     for w in range(1, spec.truncation + 1):
         basis = basis_of_weight(spec, w)
         index = position_index(basis)
-        rows = [coordinates(mn, index) for mn in pair_products(monomials, w)]
-        monomials[w] = [from_terms(spec, {m: 1}) for m in basis]
+        rows = [coordinates(mn, index) for mn in pair_products(elements, w)]
+        elements[w] = [from_terms(spec, {m: 1}) for m in basis]
         got = cokernel_factors(len(basis), rows, ring)
         expected = invariant_factor_chain(closed.annihilators_of_weight(w), ring)
         report.check(f"A/A^2 slice (w={w})", got, expected)
