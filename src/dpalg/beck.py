@@ -106,13 +106,16 @@ class UModule:
             return self.zero_vec()
         return self._vector(_image(columns, [(j, v) for j, v in enumerate(vec) if v]))
 
-    def act(self, a, vec):
+    def _act_image(self, a, vec, image):
+        """Add into ``image`` the unreduced image of ``vec`` under the action of ``a``."""
         pairs = [(j, v) for j, v in enumerate(vec) if v]
-        image = {}
         for mono, c in a.terms.items():
             if mono in self._a_columns:
                 _image(self._a_columns[mono], [(j, c * v) for j, v in pairs], image)
-        return self._vector(image)
+        return image
+
+    def act(self, a, vec):
+        return self._vector(self._act_image(a, vec, {}))
 
     def phi_p(self, p, vec):
         columns = self._phi_columns.get(p)
@@ -198,9 +201,9 @@ class UModule:
 
 
 class SemidirectElement:
-    """An element (a, x) of the square-zero extension A (+) M."""
+    """An element (a, x) of the square-zero extension A (+) M; see ``semidirect_gamma``."""
 
-    __slots__ = ("module", "a", "x")
+    __slots__ = ("module", "a", "x", "_gammas")
 
     def __init__(self, module, a, x):
         self.module = module
@@ -246,18 +249,34 @@ class SemidirectElement:
 
 
 def semidirect_gamma(n, u):
-    """gamma_n(a, x) = (gamma_n a, phi_n x + sum_{i+j=n} gamma_i(a) phi_j(x))."""
+    """gamma_n(a, x) = (gamma_n a, phi_n x + sum_{i+j=n} gamma_i(a) phi_j(x)).
+
+    ``u`` keeps its longest sequence, as in ``divided_powers``.  One pass
+    builds it from gamma_1(a) ... gamma_n(a) and each phi_j(x) computed once
+    (phi_{p^e} as phi_p of phi_{p^(e-1)}, zero unless j is 1 or a prime
+    power): v_k = phi_k(x) + sum_{j<k} gamma_{k-j}(a) phi_j(x), reduced once.
+    """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
     if n == 1:
         return u
-    mod = u.module
-    gammas = divided_powers(n, u.a)
-    vec = mod.phi_n(n, u.x)
-    for i in range(1, n):
-        phi_jx = mod.phi_n(n - i, u.x)
-        vec = mod.add_vec(vec, mod.act(gammas[i - 1], phi_jx))
-    return SemidirectElement(mod, gammas[-1], vec)
+    kept = getattr(u, "_gammas", ())
+    if len(kept) < n:
+        mod = u.module
+        gammas = divided_powers(n, u.a)
+        phis = {1: u.x}
+        for j in range(2, n + 1):
+            if (phi := phi_of(j)) is not None:
+                phis[j] = mod.phi_p(phi[0], phis[j // phi[0]])
+        kept = [u]
+        for k in range(2, n + 1):
+            image = dict(enumerate(phis.get(k, ())))
+            for j in range(1, k):
+                if j in phis:
+                    mod._act_image(gammas[k - j - 1], phis[j], image)
+            kept.append(SemidirectElement(mod, gammas[k - 1], mod._vector(image)))
+        u._gammas = kept
+    return kept[n - 1]
 
 
 AXIOM_MAX_INDEX = 6  # the sampled axioms take gamma indices in 1..6

@@ -10,7 +10,10 @@ truncation N quotients by the ideal of weight > N, so every operation is
 finite; products and divided powers never lower weight, which makes dropping
 overweight terms sound.  ``divided_powers(n, a)`` returns gamma_1(a) ...
 gamma_n(a) at once by the exponential law gamma_k(a + b) = sum_{i+j=k}
-gamma_i(a) gamma_j(b), and ``divided_power`` is its last entry.
+gamma_i(a) gamma_j(b), and ``divided_power`` is its last entry.  An element
+keeps the longest sequence computed for it: a request for a lower index reads
+it, and a higher one recomputes and replaces it.  Elements are never changed
+after construction, so the kept sequence cannot go stale.
 
 >>> spec = AlgebraSpec(ZZ, (1, 1), 8)
 >>> x, y = gamma_gen(spec, 0, 1), gamma_gen(spec, 1, 1)
@@ -206,9 +209,9 @@ def format_monomial(mono):
 
 
 class DPElement(SparseElement):
-    """An element of a truncated free DP algebra, in canonical form."""
+    """An element of a truncated free DP algebra, in canonical form; see ``divided_powers``."""
 
-    __slots__ = ()
+    __slots__ = ("_gammas",)
 
     _weigh = staticmethod(AlgebraSpec.monomial_weight)
     _reduce = staticmethod(lambda ring, mono, c: ring.normalize(c))
@@ -259,6 +262,10 @@ def gamma_gen(spec, gen, n):
 def divided_powers(n, element):
     """[gamma_1(a), ..., gamma_n(a)] in one pass, by the exponential law.
 
+    ``a`` keeps, in ``_gammas``, the longest sequence computed for it (equality
+    and hashing ignore it): a request up to its length gets a copy of its
+    first n entries, and a longer one recomputes and replaces it.
+
     gamma_k(a + b) = sum_{i+j=k} gamma_i(a) gamma_j(b) makes the sequence of
     a sum the truncated product of its terms' sequences.  A term c*m with
     m = prod gamma_{e_i}(x_i) has gamma_j(c m) = g_j prod gamma_{j e_i}(x_i),
@@ -269,6 +276,9 @@ def divided_powers(n, element):
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
+    kept = getattr(element, "_gammas", ())
+    if len(kept) >= n:
+        return kept[:n]
     spec = element.spec
     cap = spec.truncation
     seq = [{} for _ in range(n + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
@@ -299,10 +309,11 @@ def divided_powers(n, element):
                 weight[gmono] = gweight
                 out[gmono] = out.get(gmono, 0) + gcoeff
     normalize = spec.ring.normalize
-    return [
+    element._gammas = [
         DPElement._raw(spec, {m: r for m, c in terms.items() if (r := normalize(c))})
         for terms in seq[1:]
     ]
+    return element._gammas[:]
 
 
 def divided_power(n, element):

@@ -51,7 +51,7 @@ from .report import CheckReport
 
 
 # ---------------------------------------------------------------------------
-# Coproduct and direct product
+# Coproduct
 
 
 @dataclass
@@ -99,37 +99,6 @@ def coproduct(spec_a, spec_b):
         min(spec_a.truncation, spec_b.truncation),
     )
     return Coproduct(combined, spec_a, spec_b)
-
-
-class ProductElement:
-    """An element of the direct product A x B (componentwise structure)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        return ProductElement(self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return ProductElement(-self.a, -self.b)
-
-    def __mul__(self, other):
-        return ProductElement(self.a * other.a, self.b * other.b)
-
-    def scale(self, c):
-        return ProductElement(self.a.scale(c), self.b.scale(c))
-
-    def gamma(self, n):
-        return ProductElement(divided_power(n, self.a), divided_power(n, self.b))
-
-    def __eq__(self, other):
-        return isinstance(other, ProductElement) and self.a == other.a and self.b == other.b
-
-    def __str__(self):
-        return f"({self.a}, {self.b})"
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +293,29 @@ def verify_main_theorem(spec):
         surjective = spans_full_lattice([*rows, *slice_w.relation_hnf], len(slice_w.kernel))
         report.check(f"comparison map surjective (w={w})", surjective, True)
 
+    # d(m) = in_2(m) - in_1(m) and in_1(m) once per basis monomial, extended
+    # linearly to the products and divided powers the laws below take.
+    monomials = basis_up_to(spec)
+    basis = {m: from_terms(spec, {m: 1}) for m in monomials}
+    d = {m: oracle.derivation_rep(a) for m, a in basis.items()}
+    in_1 = {m: oracle.coproduct.include_left(a) for m, a in basis.items()}
+    coproduct_zero = algebra_zero(oracle.coproduct.spec)
+
+    def linear(images, element):
+        total = coproduct_zero
+        for m, c in element.terms.items():
+            total = total + images[m].scale(c)
+        return total
+
     # d-compatibility: the closed-form universal derivation matches
     # a -> [in_2(a) - in_1(a)] through the comparison map.
     for w in range(1, spec.truncation + 1):
         index = basis_index(closed[w])
         slice_w = oracle.slices[w]
         for mono in basis_of_weight(spec, w):
-            a = from_terms(spec, {mono: 1})
-            direct = oracle.to_kernel_coords(oracle.derivation_rep(a), w)
+            direct = oracle.to_kernel_coords(d[mono], w)
             through = [0] * len(slice_w.kernel)
-            d_coords = omega_coordinates(universal_derivation(a), index)
+            d_coords = omega_coordinates(universal_derivation(basis[mono]), index)
             for c, row in zip(d_coords, phi_rows[w]):
                 if c:
                     through = [t + c * r for t, r in zip(through, row)]
@@ -361,18 +343,15 @@ def verify_main_theorem(spec):
                 )
 
     # The derivation laws for a -> [in_2(a) - in_1(a)] itself.
-    monomials = basis_up_to(spec)
     for mono_a in monomials:
         wa = spec.monomial_weight(mono_a)
-        a = from_terms(spec, {mono_a: 1})
+        a = basis[mono_a]
         for mono_b in monomials:
             wb = spec.monomial_weight(mono_b)
             if wa + wb > spec.truncation or mono_b < mono_a:
                 continue
-            b = from_terms(spec, {mono_b: 1})
-            lhs = oracle.derivation_rep(a * b)
-            rhs = oracle.coproduct.include_left(a) * oracle.derivation_rep(b)
-            rhs = rhs + oracle.coproduct.include_left(b) * oracle.derivation_rep(a)
+            lhs = linear(d, a * basis[mono_b])
+            rhs = in_1[mono_a] * d[mono_b] + in_1[mono_b] * d[mono_a]
             report.check(
                 f"Leibniz law in I/I^2 (w={wa + wb})",
                 oracle.class_is_zero(lhs - rhs, wa + wb),
@@ -382,13 +361,14 @@ def verify_main_theorem(spec):
         # gamma_j(a), its image in the left summand and phi_j(da), once per monomial.
         gammas = divided_powers(spec.truncation // wa, a)
         left = [oracle.coproduct.include_left(g) for g in gammas]
-        da = oracle.derivation_rep(a)
         phi_da = {
-            j: oracle.phi_rep(phi, da) for j in range(1, len(gammas) + 1) if (phi := phi_of(j)) is not None
+            j: oracle.phi_rep(phi, d[mono_a])
+            for j in range(1, len(gammas) + 1)
+            if (phi := phi_of(j)) is not None
         }
         for n in range(2, len(gammas) + 1):
-            lhs = oracle.derivation_rep(gammas[n - 1])
-            total = phi_da.get(n, algebra_zero(oracle.coproduct.spec))
+            lhs = linear(d, gammas[n - 1])
+            total = phi_da.get(n, coproduct_zero)
             for i in range(1, n):
                 if n - i in phi_da:
                     total = total + left[i - 1] * phi_da[n - i]

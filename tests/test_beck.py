@@ -16,8 +16,17 @@ from dpalg.beck import (
     verify_beck_axioms,
     zero_module,
 )
-from dpalg.dpcore import basis_up_to, divided_power, free_spec, gamma_gen, random_element, zero
+from dpalg.dpcore import (
+    DPElement,
+    basis_up_to,
+    divided_power,
+    free_spec,
+    gamma_gen,
+    random_element,
+    zero,
+)
 from dpalg.kahler import omega_as_umodule
+from dpalg.suites import beck_module_zoo
 
 SPEC = free_spec(ZZ, 1, 6)
 
@@ -68,6 +77,42 @@ def test_semidirect_gamma_small_cases():
     v = SemidirectElement(m, zero(SPEC), (1, 1, 1))
     g6 = semidirect_gamma(6, v)
     assert g6.a.is_zero() and g6.x == m.zero_vec()
+
+
+def _gamma_by_index(n, u):
+    """gamma_n(a, x) = (gamma_n a, phi_n x + sum_{i=1}^{n-1} gamma_i(a) phi_{n-i}(x)),
+    one index at a time, each gamma_i of a fresh copy of ``a``."""
+    mod = u.module
+
+    def gamma_a(i):
+        return divided_power(i, DPElement(u.a.spec, dict(u.a.terms)))
+
+    vec = mod.phi_n(n, u.x)
+    for i in range(1, n):
+        vec = mod.add_vec(vec, mod.act(gamma_a(i), mod.phi_n(n - i, u.x)))
+    return SemidirectElement(mod, gamma_a(n), vec)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        *beck_module_zoo(SPEC),
+        trivial_module(free_spec(Ring(6), 1, 6), (0, 2, 4)),
+        corrupted_phi_module(SPEC),
+    ],
+    ids=lambda m: f"{m.spec.ring}-{m.annihilators}",
+)
+def test_semidirect_gamma_sequence_matches_per_index_formula(module):
+    rng = random.Random(29)
+    for _ in range(12):
+        a = random_element(module.spec, rng, max_terms=2)
+        x = module.random_vec(rng)
+        ascending = SemidirectElement(module, a, x)
+        descending = SemidirectElement(module, DPElement(a.spec, dict(a.terms)), x)
+        for n in range(1, 7):
+            assert semidirect_gamma(n, ascending) == _gamma_by_index(n, ascending), (str(a), x, n)
+        for n in range(6, 0, -1):
+            assert semidirect_gamma(n, descending) == _gamma_by_index(n, descending), (str(a), x, n)
 
 
 def test_module_validation():

@@ -272,3 +272,22 @@ def test_coordinates():
     basis = basis_of_weight(RANK2, 2)
     a = divided_power(2, gamma_gen(RANK2, 0, 1) + gamma_gen(RANK2, 1, 1))
     assert coordinates(a, position_index(basis)) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=str)
+def test_kept_divided_powers_match_a_fresh_element(ring, weights):
+    # An element keeps its longest sequence; indices asked out of order must
+    # read and extend it exactly as a fresh equal element computes them.
+    spec = free_spec(ring, 2, 8, weights=weights)
+    rng = random.Random(17)
+    for _ in range(25):
+        a = random_element(spec, rng)
+        for k in (3, 1, 6, 2, 5, 4):
+            assert divided_power(k, a) == divided_power(k, DPElement(spec, dict(a.terms))), (str(a), k)
+        fresh = divided_powers(6, DPElement(spec, dict(a.terms)))
+        # the returned lists are copies: changing them leaves the element's sequence alone
+        divided_powers(6, a).clear()
+        divided_powers(8, a)[:] = [zero(spec)] * 8
+        assert divided_powers(6, a) == fresh
+        assert a == DPElement(spec, dict(a.terms)) and hash(a) == hash(DPElement(spec, dict(a.terms)))

@@ -17,13 +17,44 @@ from dpalg.kahler import omega_free_basis
 from dpalg.linalg import in_lattice
 from dpalg.oracle import (
     OmegaOracle,
-    ProductElement,
     _closed_form_rep,
     coproduct,
     fold_kernel,
     verify_indecomposables,
     verify_main_theorem,
 )
+
+
+class ProductElement:
+    """An element of the direct product A x B (componentwise structure)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        return ProductElement(self.a + other.a, self.b + other.b)
+
+    def __neg__(self):
+        return ProductElement(-self.a, -self.b)
+
+    def __mul__(self, other):
+        return ProductElement(self.a * other.a, self.b * other.b)
+
+    def scale(self, c):
+        return ProductElement(self.a.scale(c), self.b.scale(c))
+
+    def gamma(self, n):
+        return ProductElement(divided_power(n, self.a), divided_power(n, self.b))
+
+    def __eq__(self, other):
+        return isinstance(other, ProductElement) and self.a == other.a and self.b == other.b
+
+    def __str__(self):
+        return f"({self.a}, {self.b})"
+
 
 RANK1 = free_spec(ZZ, 1, 6)
 
