@@ -5,21 +5,26 @@ import pytest
 from dpalg.coeff import Ring, ZZ, primes_up_to
 from dpalg.dpcore import (
     basis_of_weight,
+    basis_up_to,
+    coordinates,
     divided_power,
     dp_axiom_report,
     dp_map_apply,
     free_spec,
     from_terms,
     gamma_gen,
+    position_index,
     random_element,
 )
 from dpalg.kahler import omega_free_basis
-from dpalg.linalg import in_lattice
+from dpalg.linalg import cokernel_factors, kernel_basis_mod, solve_in_lattice
 from dpalg.oracle import (
     OmegaOracle,
     _closed_form_rep,
     coproduct,
+    fold_degree,
     fold_kernel,
+    pair_products,
     verify_indecomposables,
     verify_main_theorem,
 )
@@ -57,6 +62,16 @@ class ProductElement:
 
 
 RANK1 = free_spec(ZZ, 1, 6)
+X1, G2X = ((0, 1),), ((0, 2),)  # the blocks of x and gamma_2(x) at rank 1
+
+
+def subtract(a, b):
+    """Difference of two kernel coordinate dicts (block -> coordinates)."""
+    out = {beta: list(part) for beta, part in a.items()}
+    for beta, part in b.items():
+        left = out.get(beta, [0] * len(part))
+        out[beta] = [x - y for x, y in zip(left, part)]
+    return out
 
 
 def test_coproduct_spec_and_inclusions():
@@ -138,11 +153,12 @@ def test_gamma_of_mixed_monomial_stays_mixed():
 
 
 def test_fold_matrix_and_kernel_rank1():
-    co, slices = fold_kernel(RANK1)
-    assert slices[1].matrix == [[1, 1]]
-    assert slices[1].kernel == [[1, -1]]
-    assert slices[2].matrix == [[1, 2, 1]]
-    assert len(slices[2].kernel) == 2
+    # At rank 1 each weight w is one block, that of gamma_w(x).
+    co, blocks = fold_kernel(RANK1)
+    assert blocks[X1].matrix == [[1, 1]]
+    assert blocks[X1].kernel == [[1, -1]]
+    assert blocks[G2X].matrix == [[1, 2, 1]]
+    assert len(blocks[G2X].kernel) == 2
 
 
 def test_fold_section_identities():
@@ -158,17 +174,17 @@ def test_fold_section_identities():
 
 def test_i_mod_i_squared_rank1_N2():
     oracle = OmegaOracle(free_spec(ZZ, 1, 2))
-    assert oracle.slices[1].factors == (0,)
-    assert oracle.slices[2].factors == (2, 0)
+    assert oracle.blocks[X1].factors == (0,)
+    assert oracle.blocks[G2X].factors == (2, 0)
 
 
 def test_induced_phi2_on_weight1_class():
     # gamma_2(x' - x'') = gamma_2 x' - x'x'' + gamma_2 x'' = v1 - v2 in the
     # Hermite kernel basis v1 = g2x' - g2x'', v2 = x'x'' - 2 g2x''.
     oracle = OmegaOracle(free_spec(ZZ, 1, 2))
-    assert oracle.slices[1].kernel == [[1, -1]]
-    assert oracle.slices[2].kernel == [[1, 0, -1], [0, 1, -2]]
-    assert oracle.phi_tables[(1, 2)] == [[1, -1]]
+    assert oracle.blocks[X1].kernel == [[1, -1]]
+    assert oracle.blocks[G2X].kernel == [[1, 0, -1], [0, 1, -2]]
+    assert oracle.phi_tables[(X1, 2)] == [[1, -1]]
 
 
 @pytest.mark.parametrize(
@@ -181,19 +197,19 @@ def test_phi_coords_match_the_direct_class(rank, truncation, ring):
     # a phi_coords that returned zeros would fail here.
     spec = free_spec(ring, rank, truncation)
     oracle = OmegaOracle(spec)
+    d = {m: oracle.derivation_rep(from_terms(spec, {m: 1})) for m in basis_up_to(spec)}
     compared = nonzero = 0
     for w, entries in omega_free_basis(spec).items():
         for entry in entries:
-            rep = _closed_form_rep(oracle, entry, {})
-            coords = oracle.to_kernel_coords(rep, w)
+            rep = _closed_form_rep(oracle, entry, {}, d)
+            coords = oracle.to_kernel_coords(rep)
             for p in primes_up_to(truncation // w):
-                relations = oracle.slices[p * w].relation_hnf
-                direct = oracle.to_kernel_coords(divided_power(p, rep), p * w)
-                via_tables = oracle.phi_coords(p, w, coords)
-                assert in_lattice(relations, [d - t for d, t in zip(direct, via_tables)]), (entry, p)
+                direct = oracle.to_kernel_coords(divided_power(p, rep))
+                via_tables = oracle.phi_coords(p, coords)
+                assert oracle.in_relations(subtract(direct, via_tables)), (entry, p)
                 compared += 1
                 if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
-                    assert not in_lattice(relations, direct), (entry, p)
+                    assert not oracle.in_relations(direct), (entry, p)
                     nonzero += 1
     assert compared > nonzero > 0
 
@@ -285,12 +301,12 @@ def test_induced_phi_is_semilinear_on_classes():
     oracle = OmegaOracle(spec)
     rng = random.Random(14)
     for w, p in ((1, 2), (1, 3), (2, 2), (3, 2), (2, 3)):
-        for row in oracle.slices[w].kernel:
-            v = oracle.kernel_element(w, row)
+        for row in oracle.blocks[((0, w),)].kernel:
+            v = oracle.kernel_element(((0, w),), row)
             c = rng.randint(-5, 5)
             lhs = divided_power(p, v.scale(c))
             rhs = divided_power(p, v).scale(c**p)
-            assert oracle.class_is_zero(lhs - rhs, p * w)
+            assert oracle.class_is_zero(lhs - rhs)
 
 
 def test_induced_phi_is_additive_on_classes():
@@ -299,13 +315,13 @@ def test_induced_phi_is_additive_on_classes():
     spec = free_spec(ZZ, 1, 6)
     oracle = OmegaOracle(spec)
     for w, p in ((1, 2), (2, 2), (1, 3), (3, 2)):
-        kernel = oracle.slices[w].kernel
+        kernel = oracle.blocks[((0, w),)].kernel
         for i in range(len(kernel)):
             for j in range(i, len(kernel)):
-                u = oracle.kernel_element(w, kernel[i])
-                v = oracle.kernel_element(w, kernel[j])
+                u = oracle.kernel_element(((0, w),), kernel[i])
+                v = oracle.kernel_element(((0, w),), kernel[j])
                 mixed = divided_power(p, u + v) - divided_power(p, u) - divided_power(p, v)
-                assert oracle.class_is_zero(mixed, p * w)
+                assert oracle.class_is_zero(mixed)
 
 
 def test_gradewise_stability_under_deeper_truncation():
@@ -313,17 +329,83 @@ def test_gradewise_stability_under_deeper_truncation():
     big = free_spec(ZZ, 1, 6)
     _, fold_small = fold_kernel(small)
     _, fold_big = fold_kernel(big)
-    for w in range(1, 5):
-        assert fold_small[w].matrix == fold_big[w].matrix
-        assert fold_small[w].kernel == fold_big[w].kernel
+    blocks = [((0, w),) for w in range(1, 5)]
+    for beta in blocks:
+        assert fold_small[beta].matrix == fold_big[beta].matrix
+        assert fold_small[beta].kernel == fold_big[beta].kernel
     oracle_small = OmegaOracle(small)
     oracle_big = OmegaOracle(big)
-    for w in range(1, 5):
-        assert oracle_small.slices[w].factors == oracle_big.slices[w].factors
-        assert sorted(oracle_small.slices[w].relation_rows) == sorted(oracle_big.slices[w].relation_rows)
+    for beta in blocks:
+        assert oracle_small.blocks[beta].factors == oracle_big.blocks[beta].factors
+        assert sorted(oracle_small.blocks[beta].rows) == sorted(oracle_big.blocks[beta].rows)
 
 
-@pytest.mark.parametrize("rank, truncation, ring", [(2, 9, ZZ), (2, 8, Ring(6))])
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
+@pytest.mark.parametrize(
+    "rank, truncation, weights", [(1, 7, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2))]
+)
+def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
+    # The reference builds one fold matrix, kernel and I^2 lattice per
+    # weight, as the oracle did before it split weights into blocks.
+    spec = free_spec(ring, rank, truncation, weights=weights)
+    oracle = OmegaOracle(spec)
+    co, modulus = oracle.coproduct, ring.modulus
+    images = [gamma_gen(spec, i % rank, 1) for i in range(2 * rank)]
+    elements = {}
+    for w in range(1, truncation + 1):
+        domain = basis_of_weight(co.spec, w)
+        index = position_index(domain)
+        target = position_index(basis_of_weight(spec, w))
+        columns = [coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), target) for m in domain]
+        matrix = [list(row) for row in zip(*columns)]
+        kernel = kernel_basis_mod(matrix, len(domain), modulus)
+        blocks = [(beta, b) for beta, b in oracle.blocks.items() if b.weight == w]
+        # The Hermite form is unique, so the weight's kernel is the union of
+        # its blocks' kernels, each row padded out with zeros.
+        padded = []
+        for beta, block in blocks:
+            assert all(fold_degree(m, rank) == beta for m in block.domain)
+            for row in block.kernel:
+                full = [0] * len(domain)
+                for m, c in zip(block.domain, row):
+                    full[index[m]] = c
+                padded.append(full)
+        assert sorted(kernel) == sorted(padded)
+        products = list(pair_products(elements, w))
+        for uv in [*products, *(from_terms(co.spec, dict(zip(domain, row))) for row in kernel)]:
+            assert len({fold_degree(m, rank) for m in uv.terms}) <= 1, uv
+        rows = [solve_in_lattice(kernel, coordinates(uv, index)) for uv in products]
+        if modulus:
+            rows += [solve_in_lattice(kernel, [modulus * (i == j) for i in range(len(domain))])
+                     for j in range(len(domain))]
+        assert oracle.factors(w) == cokernel_factors(len(kernel), rows, ZZ)
+        # The block rows assembled block-diagonally over the whole weight.
+        assembled, offset, width = [], 0, sum(len(b.kernel) for _, b in blocks)
+        for _, block in blocks:
+            assembled += [[0] * offset + row + [0] * (width - offset - len(row)) for row in block.rows]
+            offset += len(block.kernel)
+        assert oracle.factors(w) == cokernel_factors(width, assembled, ZZ)
+        elements[w] = [from_terms(co.spec, dict(zip(domain, row))) for row in kernel]
+    # A sum over two blocks splits into the two blocks' coordinates.
+    rng = random.Random(5)
+    betas = list(oracle.blocks)
+    for _ in range(20):
+        parts = []
+        for beta in rng.sample(betas, 2):
+            kernel = oracle.blocks[beta].kernel
+            coeffs = [rng.randint(-3, 3) for _ in kernel]
+            row = [sum(c * r[j] for c, r in zip(coeffs, kernel)) for j in range(len(kernel[0]))]
+            part = oracle.kernel_element(beta, row)
+            if not modulus:
+                assert oracle.to_kernel_coords(part) == ({beta: coeffs} if any(coeffs) else {})
+            parts.append(part)
+        u, v = parts
+        assert oracle.to_kernel_coords(u + v) == {**oracle.to_kernel_coords(u), **oracle.to_kernel_coords(v)}
+
+
+@pytest.mark.parametrize(
+    "rank, truncation, ring", [(2, 9, ZZ), (2, 8, Ring(6)), (3, 6, ZZ), (4, 5, Ring(6))]
+)
 def test_main_theorem_at_larger_settings(rank, truncation, ring):
     report = verify_main_theorem(free_spec(ring, rank, truncation))
     assert report.passed, report.summary()
