@@ -68,9 +68,12 @@ for command, settings in (("diff", DIFF_SETTINGS), ("gamma", GAMMA_SETTINGS)):
     for stem, args in settings:
         CASES += [(stem + ".txt", [command, *args]), (stem + ".json", [command, "--json", *args])]
 _basis_args = ["omega-basis", "--gens", "2", "--weights", "2,1", "--trunc", "6", "--ring", "zmod=6"]
+_weighted_oracle_args = ["oracle-omega", "--gens", "2", "--weights", "1,2", "--trunc", "6", "--ring", "zmod=4"]
 CASES += [
     ("omega-basis_g2_w21_n6_zmod6.txt", _basis_args),
     ("omega-basis_g2_w21_n6_zmod6.json", [*_basis_args, "--json"]),
+    ("oracle-omega_g2_w12_n6_zmod4.txt", _weighted_oracle_args),
+    ("oracle-omega_g2_w12_n6_zmod4.json", [*_weighted_oracle_args, "--json"]),
 ]
 
 
