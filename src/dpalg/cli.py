@@ -119,9 +119,9 @@ def build_parser():
     output.add_argument("--json", action="store_true", help="emit JSON")
     common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--ring", type=parse_ring, default=ZZ, help="z or zmod=M")
-    common.add_argument("--gens", type=int, default=1, help="number of generators")
+    common.add_argument("--gens", type=at_least(1), default=1, help="number of generators")
     common.add_argument("--weights", type=parse_weights, default=None, help="w1,w2,...")
-    common.add_argument("--trunc", type=int, default=8, help="weight truncation N")
+    common.add_argument("--trunc", type=at_least(1), default=8, help="weight truncation N")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("normalize", parents=[common], help="print the canonical form")

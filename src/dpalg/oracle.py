@@ -7,17 +7,23 @@ pairwise products of kernel basis vectors, and quotients are compared purely
 through Smith normal form invariant factors.  All of these preserve the Z^k
 multidegree (``fold_degree``), so I, I^2 and I/I^2 are built, reduced and
 solved one block per monomial of A, and a weight's invariant factors merge
-those of its blocks; A/A^2 splits the same way.  The fold map is the only DP map
-evaluated generically (``dp_map_apply``); the coproduct inclusions send
-generators to distinct generators, so they just renumber each monomial, and
-``cokernel_factors`` runs Smith only on the non-unit-pivot core of the
-relation HNF.  The comparison maps into the closed-form module go through
-explicit representatives, so the divided-power structure is exercised on
-actual elements rather than formulas.
+those of its blocks.  A product of kernel rows from blocks beta1 and beta2
+is written straight into the coordinates of block beta1 + beta2, through a
+table of that block pair's monomial products built on its first use.  A/A^2
+splits into one-column blocks, one per monomial, each cyclic of order the
+gcd of the modulus and the coefficients landing on it.  The fold map is the
+only DP map evaluated generically (``dp_map_apply``); the coproduct
+inclusions send generators to distinct generators, so they just renumber
+each monomial, and ``cokernel_factors`` runs Smith only on the
+non-unit-pivot core of the relation HNF.  The comparison maps into the
+closed-form module go through explicit representatives, so the
+divided-power structure is exercised on actual elements rather than
+formulas.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 from .coeff import ZZ, primes_up_to
 from .dpcore import (
@@ -30,6 +36,7 @@ from .dpcore import (
     dp_map_apply,
     from_terms,
     gamma_gen,
+    mono_mul,
     position_index,
     zero as algebra_zero,
 )
@@ -83,15 +90,6 @@ class Coproduct:
         terms = {tuple((gen + offset, e) for gen, e in mono): c for mono, c in element.terms.items()}
         return DPElement(self.spec, terms)
 
-    def component(self, mono):
-        """Which coproduct summand a basis monomial lies in."""
-        cut = self.left.generator_count
-        touches_left = any(gen < cut for gen, _ in mono)
-        touches_right = any(gen >= cut for gen, _ in mono)
-        if touches_left and touches_right:
-            return "mixed"
-        return "left" if touches_left else "right"
-
 
 def coproduct(spec_a, spec_b):
     if spec_a.ring != spec_b.ring:
@@ -123,31 +121,13 @@ def fold_degree(mono, k):
     return tuple(sorted(degree.items()))
 
 
-def pair_products(groups, w):
-    """u * v over unordered pairs from ``groups`` (weight -> elements) whose
-    weights sum to w, lighter factor first."""
+def factor_pairs(groups, w):
+    """Unordered pairs (u, v) from ``groups`` (weight -> items) whose weights
+    sum to w, lighter factor first: the products u * v span the weight-w part
+    of I^2 (kernel rows) and of A^2 (basis monomials)."""
     for w1 in range(1, w // 2 + 1):
         left, right = groups[w1], groups[w - w1]
-        pairs = combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right)
-        for u, v in pairs:
-            yield u * v
-
-
-def route(products, k):
-    """The nonzero products grouped by block.  A product of homogeneous
-    elements is homogeneous, so the fold degree of its first term names it."""
-    blocks = {}
-    for uv in products:
-        if uv.terms:
-            blocks.setdefault(fold_degree(next(iter(uv.terms)), k), []).append(uv)
-    return blocks
-
-
-def reduce_block(rows, ncols, ring):
-    """The Hermite form of one block's relation rows and the invariant factors
-    of Z^ncols modulo them: the step both verifiers run per block."""
-    relations = hermite_form(rows, ncols)
-    return relations, cokernel_factors(ncols, relations, ring)
+        yield from combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right)
 
 
 def merge_factors(chains):
@@ -192,6 +172,14 @@ def fold_kernel(spec):
     return co, blocks
 
 
+def _kernel_coords(block, vec):
+    """Coordinates of a vector of the block's domain over its kernel basis."""
+    coords = solve_in_lattice(block.kernel, vec)
+    if coords is None:
+        raise ValueError("element does not lie in the fold kernel")
+    return coords
+
+
 class OmegaOracle:
     """I/I^2 of the fold kernel, block by block, with induced phi_p tables.
 
@@ -202,19 +190,37 @@ class OmegaOracle:
     def __init__(self, spec):
         self.spec = spec
         self.coproduct, self.blocks = fold_kernel(spec)
-        k, modulus = spec.generator_count, spec.ring.modulus
-        # Kernel rows as coproduct elements, converted once per row; only
-        # weights below N enter a product of two kernel elements.
-        elements = {}
+        normalize, modulus = spec.ring.normalize, spec.ring.modulus
+        # Each kernel row of weight below N (only those enter a product of
+        # two kernel elements), tagged with its block, as its nonzero
+        # (domain index, coefficient) pairs.  A row in m Z^B has none, and
+        # only zero products, so it is left out.
         by_weight = {w: [] for w in range(1, spec.truncation)}
         for beta, block in self.blocks.items():
             if block.weight < spec.truncation:
-                elements[beta] = [self.kernel_element(beta, row) for row in block.kernel]
-                by_weight[block.weight].extend(elements[beta])
+                for row in block.kernel:
+                    if pairs := [(a, c) for a, c in enumerate(map(normalize, row)) if c]:
+                        by_weight[block.weight].append((beta, pairs))
+        # u * v for kernel rows u, v in blocks beta1, beta2, written straight
+        # into the coordinates of block beta1 + beta2 through the table of
+        # that block pair, built on its first use.
         rows = {beta: [] for beta in self.blocks}
+        tables = {}
         for w in range(2, spec.truncation + 1):
-            for beta, products in route(pair_products(by_weight, w), k).items():
-                rows[beta] += [self._block_coords(uv.terms.items(), self.blocks[beta]) for uv in products]
+            for (beta1, u), (beta2, v) in factor_pairs(by_weight, w):
+                if (beta1, beta2) not in tables:
+                    tables[beta1, beta2] = self._product_table(beta1, beta2)
+                beta, table = tables[beta1, beta2]
+                vec = [0] * len(self.blocks[beta].domain)
+                for a, c in u:
+                    line = table[a]
+                    for b, d in v:
+                        i, binom = line[b]
+                        vec[i] += c * d * binom
+                if modulus:
+                    vec = [x % modulus for x in vec]
+                if any(vec):
+                    rows[beta].append(_kernel_coords(self.blocks[beta], vec))
         for beta, block in self.blocks.items():
             if modulus:  # m Z^B sits inside the lifted kernel; quotient by it too.
                 n = len(block.domain)
@@ -223,22 +229,37 @@ class OmegaOracle:
             # One reduction per block: the factors, class tests and the
             # surjectivity check all start from this HNF.
             block.rows = rows[beta]
-            block.relations, block.factors = reduce_block(block.rows, len(block.kernel), ZZ)
-        self.phi_tables = self._induced_phi(elements)
+            block.relations = hermite_form(block.rows, len(block.kernel))
+            block.factors = cokernel_factors(len(block.kernel), block.relations, ZZ)
+        self.phi_tables = self._induced_phi()
+
+    def _product_table(self, beta1, beta2):
+        """Block beta1 + beta2, and for each pair (a, b) of domain positions of
+        beta1 and beta2 the position of their monomials' product in that
+        block's domain and its binomial coefficient."""
+        beta = mono_mul(beta1, beta2)[1]
+        index = self.blocks[beta].index
+        table = []
+        for x in self.blocks[beta1].domain:
+            line = []
+            for y in self.blocks[beta2].domain:
+                binom, mono = mono_mul(x, y)
+                line.append((index[mono], binom))
+            table.append(line)
+        return beta, table
 
     def _block_coords(self, terms, block):
         vec = [0] * len(block.domain)
         for mono, c in terms:
             vec[block.index[mono]] = c
-        coords = solve_in_lattice(block.kernel, vec)
-        if coords is None:
-            raise ValueError("element does not lie in the fold kernel")
-        return coords
+        return _kernel_coords(block, vec)
 
-    def _induced_phi(self, elements):
+    def _induced_phi(self):
         tables = {}
-        for beta, row_elements in elements.items():
-            for p in primes_up_to(self.spec.truncation // self.blocks[beta].weight):
+        for beta, block in self.blocks.items():
+            primes = primes_up_to(self.spec.truncation // block.weight)
+            row_elements = [self.kernel_element(beta, row) for row in block.kernel] if primes else []
+            for p in primes:
                 target = self.blocks[tuple((gen, p * e) for gen, e in beta)]
                 tables[(beta, p)] = [
                     self._block_coords(divided_power(p, el).terms.items(), target)
@@ -445,26 +466,35 @@ def verify_main_theorem(spec):
     return report
 
 
-def verify_indecomposables(spec):
-    """SNF of A/A^2 gradewise against the closed form U(0) (x) V.
+def indecomposable_orders(spec):
+    """The order of each monomial's block of A/A^2 (0 = free), by weight.
 
-    Each monomial of A is a block with one column; its A^2 rows are the
-    coefficients of the products that land on it.
+    Each monomial m of A is a block with one column; its A^2 rows are the
+    coefficients C of the products x * y = C m of basis monomials.  The Smith
+    form of a one-column matrix is the gcd of its entries, so the block is
+    cyclic of order gcd(modulus, those coefficients).
     """
+    orders, groups = {}, {}
+    for w in range(1, spec.truncation + 1):
+        groups[w] = basis_of_weight(spec, w)
+        orders[w] = dict.fromkeys(groups[w], spec.ring.modulus)
+        for x, y in factor_pairs(groups, w):
+            binom, mono = mono_mul(x, y)
+            orders[w][mono] = gcd(orders[w][mono], binom)
+    return orders
+
+
+def verify_indecomposables(spec):
+    """SNF of A/A^2 gradewise against the closed form U(0) (x) V: a weight's
+    invariant factors merge the orders of its monomials' blocks."""
     closed = indecomposables(spec)
     ring = spec.ring
     report = CheckReport(
         f"indecomposables at rank {spec.generator_count}, N={spec.truncation}, {ring}"
     )
-    elements = {}  # basis monomials as elements, by weight
+    orders = indecomposable_orders(spec)
     for w in range(1, spec.truncation + 1):
-        basis = basis_of_weight(spec, w)
-        routed = route(pair_products(elements, w), spec.generator_count)
-        elements[w] = [from_terms(spec, {m: 1}) for m in basis]
-        got = merge_factors(
-            reduce_block([coordinates(mn, {m: 0}) for mn in routed.get(m, [])], 1, ring)[1]
-            for m in basis
-        )
+        got = invariant_factor_chain(list(orders[w].values()), ZZ)
         expected = invariant_factor_chain(closed.annihilators_of_weight(w), ring)
         report.check(f"A/A^2 slice (w={w})", got, expected)
     return report

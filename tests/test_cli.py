@@ -76,6 +76,15 @@ def test_weights_validation(capsys):
     assert code == 2
 
 
+def test_non_positive_gens_and_trunc_are_refused(capsys):
+    for flag, value in (("--gens", "-1"), ("--gens", "0"), ("--trunc", "-1"), ("--trunc", "0")):
+        code, out, err = invoke(capsys, "oracle-omega", flag, value)
+        assert code == 2
+        assert f"{flag}: must be >= 1, got {value}" in err
+        assert "--weights lists" not in err
+        assert out == ""
+
+
 def test_oracle_omega_mod6(capsys):
     code, out, _ = invoke(
         capsys, "oracle-omega", "--ring", "zmod=6", "--gens", "1", "--trunc", "4", "--json"

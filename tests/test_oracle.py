@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -24,7 +25,8 @@ from dpalg.oracle import (
     coproduct,
     fold_degree,
     fold_kernel,
-    pair_products,
+    factor_pairs,
+    indecomposable_orders,
     verify_indecomposables,
     verify_main_theorem,
 )
@@ -59,6 +61,16 @@ class ProductElement:
 
     def __str__(self):
         return f"({self.a}, {self.b})"
+
+
+def component(co, mono):
+    """Which summand of the coproduct ``co`` a basis monomial lies in."""
+    cut = co.left.generator_count
+    touches_left = any(gen < cut for gen, _ in mono)
+    touches_right = any(gen >= cut for gen, _ in mono)
+    if touches_left and touches_right:
+        return "mixed"
+    return "left" if touches_left else "right"
 
 
 RANK1 = free_spec(ZZ, 1, 6)
@@ -127,7 +139,7 @@ def test_inclusions_refuse_elements_of_the_wrong_summand():
 
 def test_coproduct_weight2_component_split():
     co = coproduct(RANK1, RANK1)
-    split = [co.component(m) for m in basis_of_weight(co.spec, 2)]
+    split = [component(co, m) for m in basis_of_weight(co.spec, 2)]
     assert split == ["left", "mixed", "right"]
 
 
@@ -138,7 +150,7 @@ def test_coproduct_component_partition_counts():
     for w in range(1, 6):
         groups = {"left": 0, "mixed": 0, "right": 0}
         for m in basis_of_weight(co.spec, w):
-            groups[co.component(m)] += 1
+            groups[component(co, m)] += 1
         assert groups["left"] == len(basis_of_weight(a, w))
         assert groups["right"] == len(basis_of_weight(b, w))
         assert sum(groups.values()) == len(basis_of_weight(co.spec, w))
@@ -149,7 +161,7 @@ def test_gamma_of_mixed_monomial_stays_mixed():
     mixed = gamma_gen(co.spec, 0, 1) * gamma_gen(co.spec, 1, 1)
     g2 = divided_power(2, mixed)
     assert g2.terms == {((0, 2), (1, 2)): 2}
-    assert all(co.component(m) == "mixed" for m in g2.terms)
+    assert all(component(co, m) == "mixed" for m in g2.terms)
 
 
 def test_fold_matrix_and_kernel_rank1():
@@ -371,7 +383,7 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
                     full[index[m]] = c
                 padded.append(full)
         assert sorted(kernel) == sorted(padded)
-        products = list(pair_products(elements, w))
+        products = [u * v for u, v in factor_pairs(elements, w)]
         for uv in [*products, *(from_terms(co.spec, dict(zip(domain, row))) for row in kernel)]:
             assert len({fold_degree(m, rank) for m in uv.terms}) <= 1, uv
         rows = [solve_in_lattice(kernel, coordinates(uv, index)) for uv in products]
@@ -403,8 +415,70 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
         assert oracle.to_kernel_coords(u + v) == {**oracle.to_kernel_coords(u), **oracle.to_kernel_coords(v)}
 
 
+BLOCK_SETTINGS = [(1, 8, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2))]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
+@pytest.mark.parametrize("rank, truncation, weights", BLOCK_SETTINGS)
+def test_block_rows_match_products_of_kernel_elements(rank, truncation, weights, ring):
+    # The reference multiplies the kernel rows as coproduct elements, over
+    # unordered pairs of weights summing to w (lighter factor first), sends
+    # each nonzero product to the block of its fold degree and solves it
+    # there; over Z/m the rows of m Z^B follow.  The oracle's rows must agree
+    # in content and in order.  An oracle whose product table dropped the
+    # binomial (x'x' = 2 g2(x'), not g2(x')) fails here.
+    spec = free_spec(ring, rank, truncation, weights=weights)
+    oracle = OmegaOracle(spec)
+    by_weight = {w: [] for w in range(1, truncation)}
+    for beta, block in oracle.blocks.items():
+        if block.weight < truncation:
+            by_weight[block.weight] += [oracle.kernel_element(beta, row) for row in block.kernel]
+    rows = {beta: [] for beta in oracle.blocks}
+    for w in range(2, truncation + 1):
+        for w1 in range(1, w // 2 + 1):
+            left, right = by_weight[w1], by_weight[w - w1]
+            for u, v in combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right):
+                uv = u * v
+                if uv.is_zero():
+                    continue
+                beta = fold_degree(next(iter(uv.terms)), rank)
+                block = oracle.blocks[beta]
+                coords = solve_in_lattice(block.kernel, coordinates(uv, block.index))
+                assert coords is not None
+                rows[beta].append(coords)
+    products = sum(len(r) for r in rows.values())
+    for beta, block in oracle.blocks.items():
+        n = len(block.domain)
+        if ring.modulus:
+            rows[beta] += [
+                solve_in_lattice(block.kernel, [ring.modulus * (i == j) for i in range(n)]) for j in range(n)
+            ]
+        assert block.rows == rows[beta], beta
+    assert products > 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
+@pytest.mark.parametrize("rank, truncation, weights", BLOCK_SETTINGS)
+def test_indecomposable_orders_are_the_smith_form_of_each_block(rank, truncation, weights, ring):
+    # Each monomial m of A is a one-column block of A/A^2; its relation rows
+    # are the coefficients on m of the products of two basis monomials.
+    spec = free_spec(ring, rank, truncation, weights=weights)
+    orders = indecomposable_orders(spec)
+    monomials = basis_up_to(spec)
+    rows = {m: [] for m in monomials}
+    for i, x in enumerate(monomials):
+        for y in monomials[i:]:
+            for m, c in (from_terms(spec, {x: 1}) * from_terms(spec, {y: 1})).terms.items():
+                rows[m].append([c])
+    assert [m for w in range(1, truncation + 1) for m in orders[w]] == monomials
+    for m in monomials:
+        order = orders[spec.monomial_weight(m)][m]
+        assert cokernel_factors(1, rows[m], ring) == (() if order == 1 else (order,)), m
+    assert any(orders[w][m] not in (0, 1, ring.modulus) for w in orders for m in orders[w])
+
+
 @pytest.mark.parametrize(
-    "rank, truncation, ring", [(2, 9, ZZ), (2, 8, Ring(6)), (3, 6, ZZ), (4, 5, Ring(6))]
+    "rank, truncation, ring", [(2, 9, ZZ), (2, 8, Ring(6)), (3, 6, ZZ), (4, 5, Ring(6)), (2, 12, ZZ)]
 )
 def test_main_theorem_at_larger_settings(rank, truncation, ring):
     report = verify_main_theorem(free_spec(ring, rank, truncation))
