@@ -29,9 +29,6 @@ class Ring:
     def add(self, a, b):
         return self.normalize(a + b)
 
-    def neg(self, a):
-        return self.normalize(-a)
-
     def mul(self, a, b):
         return self.normalize(a * b)
 

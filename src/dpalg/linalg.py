@@ -2,12 +2,15 @@
 kernels, and invariant factors of finitely generated quotients.
 
 Everything works on lists of lists of Python ints; no floating point.  The
-algorithms are the classical elementary-operation ones (see e.g.
-https://en.wikipedia.org/wiki/Smith_normal_form#Algorithm), which are entirely
-adequate at desk scale.
+one elimination is ``hermite_form``.  A kernel is read off one Hermite form
+of the augmented transpose, and a Smith form off Hermite forms of a matrix
+and its transpose, alternated until diagonal (Kannan and Bachem, SIAM J.
+Comput. 8, 1979).
 """
 
-from math import prod
+from math import gcd
+
+from .coeff import ZZ
 
 
 class HermiteBasis(list):
@@ -27,14 +30,12 @@ class HermiteBasis(list):
         )
 
 
-def hermite_form(rows, ncols=None):
+def hermite_form(rows, ncols):
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 
     Returns a ``HermiteBasis`` of rows in echelon form with positive pivots
     and entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     work = [list(r) for r in rows if any(r)]
     basis = []
     pivots = []
@@ -87,31 +88,25 @@ def spans_full_lattice(rows, ncols):
     return len(hnf) == ncols and all(row[i] == 1 for i, row in enumerate(hnf))
 
 
-def kernel_basis(rows, ncols):
-    """Basis of the integer right kernel {v : M v = 0} of the matrix ``rows``.
+def kernel_basis_mod(rows, ncols, modulus):
+    """Hermite basis of the lattice {v in Z^ncols : M v = 0 mod ``modulus``}.
 
-    Uses the standard trick: row-reduce [M^T | I] and collect the I-parts of
-    the rows whose M^T-part vanished.
+    ``modulus`` 0 gives the integer right kernel of M.  One Hermite reduction
+    of [M^T | I], with [m I | 0] below it when m > 0: a row combination with
+    coefficients v over the first block and w over the second is
+    (M v + m w, v), so the rows whose M^T part vanished span the lattice.  In
+    echelon form they are the last rows, and already its Hermite basis.
+
+    >>> kernel_basis_mod([[1, 2]], 2, 4)
+    [[2, 1], [0, 2]]
     """
     nrows = len(rows)
-    augmented = []
-    for j in range(ncols):
-        augmented.append([rows[i][j] for i in range(nrows)] + [int(i == j) for i in range(ncols)])
+    augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    if modulus:
+        augmented += [[modulus if i == j else 0 for i in range(nrows)] + [0] * ncols for j in range(nrows)]
     reduced = hermite_form(augmented, nrows + ncols)
-    kernel = [row[nrows:] for row in reduced if not any(row[:nrows])]
-    # hermite_form dropped fully-zero rows, but a kernel vector is never zero
-    # here because the identity block keeps every augmented row nonzero.
-    return hermite_form(kernel, ncols)
-
-
-def kernel_basis_mod(rows, ncols, modulus):
-    """Lattice L of v in Z^ncols with M v = 0 mod ``modulus`` (L contains mZ^n)."""
-    if modulus == 0:
-        return kernel_basis(rows, ncols)
-    nrows = len(rows)
-    padded = [list(r) + [modulus if i == j else 0 for j in range(nrows)] for i, r in enumerate(rows)]
-    lifted = kernel_basis(padded, ncols + nrows)
-    return hermite_form([v[:ncols] for v in lifted], ncols)
+    first = sum(pcol < nrows for pcol in reduced.pivots)
+    return HermiteBasis([row[nrows:] for row in reduced[first:]], [p - nrows for p in reduced.pivots[first:]])
 
 
 def solve_in_lattice(hnf, target):
@@ -140,69 +135,21 @@ def in_lattice(hnf, target):
     return solve_in_lattice(hnf, target) is not None
 
 
-def smith_diagonal(rows, ncols=None):
-    """Positive diagonal d_1 | d_2 | ... of the Smith normal form (length = rank)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    m = [list(r) for r in rows if any(r)]
-    diagonal = []
-    t = 0  # column offset of the untreated block
-    while m and t < ncols:
-        while True:
-            # Clear column t below the pivot (gcd loop via row operations).
-            while True:
-                live = [i for i in range(1, len(m)) if m[i][t] != 0]
-                if m[0][t] == 0:
-                    if not live:
-                        break
-                    m[0], m[live[0]] = m[live[0]], m[0]
-                    continue
-                if not live:
-                    break
-                for i in live:
-                    q = m[i][t] // m[0][t]
-                    for j in range(t, ncols):
-                        m[i][j] -= q * m[0][j]
-                    if m[i][t]:
-                        m[0], m[i] = m[i], m[0]
-            if m[0][t] == 0:
-                # Whole column is zero: swap in a later column with content.
-                swap = next(
-                    (j for j in range(t + 1, ncols) if any(row[j] for row in m)), None
-                )
-                if swap is None:
-                    return diagonal
-                for row in m:
-                    row[t], row[swap] = row[swap], row[t]
-                continue
-            # Clear row 0 right of the pivot (gcd loop via column operations).
-            row_clear = True
-            for j in range(t + 1, ncols):
-                while m[0][j]:
-                    q = m[0][j] // m[0][t]
-                    for row in m:
-                        row[j] -= q * row[t]
-                    if m[0][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        row_clear = False
-            # Column swaps may have reintroduced entries below the pivot.
-            if row_clear and all(m[i][t] == 0 for i in range(1, len(m))):
-                break
-        pivot = abs(m[0][t])
-        # The pivot must divide every remaining entry; otherwise fold the
-        # offending row into the pivot row and redo this step.
-        culprit = next(
-            (row for row in m[1:] if any(v % pivot for v in row[t:])), None
-        )
-        if culprit is not None:
-            for j in range(t, ncols):
-                m[0][j] += culprit[j]
-            continue
-        diagonal.append(pivot)
-        m = [row for row in m[1:] if any(row[t + 1 :])]
-        t += 1
-    return diagonal
+def smith_diagonal(rows, ncols):
+    """Positive diagonal d_1 | d_2 | ... of the Smith normal form (length = rank).
+
+    Alternates Hermite forms of the matrix and of its transpose until every
+    row has one nonzero entry (Kannan and Bachem 1979), then merges that
+    diagonal into a divisibility chain, padded with 1s up to the rank.
+
+    >>> smith_diagonal([[2, 0], [0, 3]], 2)
+    [1, 6]
+    """
+    hnf = hermite_form(rows, ncols)
+    while any(len(support) > 1 for support in hnf.supports):
+        hnf = hermite_form(list(zip(*hnf)), len(hnf))
+    chain = invariant_factor_chain([row[pcol] for pcol, row in zip(hnf.pivots, hnf)], ZZ)
+    return [1] * (len(hnf) - len(chain)) + list(chain)
 
 
 def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
@@ -239,40 +186,22 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     return tuple(chain)
 
 
-def _factorize(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factor_chain(cyclic_orders, ring):
     """Canonical chain for a direct sum of cyclic modules of given orders.
 
     ``cyclic_orders`` uses the annihilator convention (0 = free summand);
     orders are first collapsed through ``ring.effective_annihilator``, trivial
     summands dropped, and the rest merged into the divisibility chain, so the
-    output is directly comparable with ``cokernel_factors``.
+    output is directly comparable with ``cokernel_factors``.  Each order d is
+    merged by Z/c + Z/d = Z/gcd(c, d) + Z/lcm(c, d) along the chain so far,
+    which keeps it a chain and needs no factoring.
     """
-    free = 0
-    by_prime = {}
-    for d in cyclic_orders:
-        order = ring.effective_annihilator(d)
-        if order == 0:
-            free += 1
-        elif order > 1:
-            for p, e in _factorize(order).items():
-                by_prime.setdefault(p, []).append(e)
-    depth = max((len(v) for v in by_prime.values()), default=0)
+    orders = [ring.effective_annihilator(d) for d in cyclic_orders]
     chain = []
-    for level in range(depth, 0, -1):
-        factor = prod(p ** sorted(es, reverse=True)[level - 1] for p, es in by_prime.items() if len(es) >= level)
-        chain.append(factor)
-    chain.extend([0] * free)
-    return tuple(chain)
+    for d in orders:
+        if d > 1:
+            for i, c in enumerate(chain):
+                g = gcd(c, d)
+                chain[i], d = g, c // g * d
+            chain.append(d)
+    return tuple([c for c in chain if c != 1] + [0] * orders.count(0))

@@ -6,7 +6,6 @@ from dpalg.linalg import (
     hermite_form,
     in_lattice,
     invariant_factor_chain,
-    kernel_basis,
     kernel_basis_mod,
     smith_diagonal,
     solve_in_lattice,
@@ -82,7 +81,7 @@ def test_hermite_membership():
 
 def test_kernel_basis():
     # x + 2y + z = 0 has a rank-2 kernel.
-    basis = kernel_basis([[1, 2, 1]], 3)
+    basis = kernel_basis_mod([[1, 2, 1]], 3, 0)
     assert len(basis) == 2
     for v in basis:
         assert v[0] + 2 * v[1] + v[2] == 0
@@ -95,7 +94,7 @@ def test_kernel_basis_random_consistency():
     rng = random.Random(11)
     for _ in range(50):
         rows = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(3)]
-        basis = kernel_basis(rows, 5)
+        basis = kernel_basis_mod(rows, 5, 0)
         for v in basis:
             assert all(sum(r[j] * v[j] for j in range(5)) == 0 for r in rows)
         assert len(basis) == 5 - len(smith_diagonal(rows, 5))
@@ -198,6 +197,9 @@ def test_invariant_factor_chain():
     assert invariant_factor_chain([0], Ring(6)) == (6,)
     assert invariant_factor_chain([5], Ring(6)) == ()
     assert invariant_factor_chain([2, 0], Ring(4)) == (2, 4)
+    # A large prime order merges by gcd and lcm, without being factored.
+    mersenne = 2**61 - 1
+    assert invariant_factor_chain([4 * mersenne, 6], ZZ) == (2, 12 * mersenne)
 
 
 def test_chain_matches_cokernel_presentation():

@@ -1,0 +1,89 @@
+"""Property tests of smith_diagonal and kernel_basis_mod against references
+that run no elimination from ``dpalg.linalg``: determinantal divisors from
+Bareiss determinants, and kernels by enumerating a box of vectors.
+
+Skipped when hypothesis is not installed (it is in the ``test`` extra).
+"""
+
+from itertools import combinations, product
+from math import gcd, prod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+from dpalg.linalg import in_lattice, kernel_basis_mod, smith_diagonal
+from test_linalg import determinant
+
+
+@st.composite
+def matrices(draw, max_rows, max_cols, min_cols=1):
+    """Matrices with entries in [-6, 6] as (rows, ncols); some rows are copied
+    over others, so rank-deficient matrices come up often, and zero ones
+    shrink out."""
+    ncols = draw(st.integers(min_cols, max_cols))
+    entries = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(entries, max_size=max_rows))
+    if len(rows) > 1:
+        for dst, src in draw(st.lists(st.tuples(*[st.integers(0, len(rows) - 1)] * 2), max_size=2)):
+            rows[dst] = list(rows[src])
+    return rows, ncols
+
+
+def minors(rows, ncols, k):
+    return [
+        determinant([[rows[i][j] for j in cols] for i in picked])
+        for picked in combinations(range(len(rows)), k)
+        for cols in combinations(range(ncols), k)
+    ]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(matrices(max_rows=4, max_cols=5))
+@example(([], 3))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[2, 4, 6], [1, 2, 3], [3, 6, 9]], 3))
+@example(([[2, 0], [0, 3]], 2))
+def test_smith_diagonal_matches_determinantal_divisors(case):
+    rows, ncols = case
+    diagonal = smith_diagonal(rows, ncols)
+    rank = max(k for k in range(min(len(rows), ncols) + 1) if any(minors(rows, ncols, k)))
+    assert len(diagonal) == rank
+    assert all(d > 0 for d in diagonal)
+    # d_1 ... d_k is the gcd of the k x k minors, which fixes every d_k.
+    for k in range(1, rank + 1):
+        assert prod(diagonal[:k]) == gcd(*minors(rows, ncols, k)), (k, diagonal)
+
+
+def _image(rows, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from((4, 6, 12)), matrices(max_rows=2, max_cols=3, min_cols=0))
+@example(4, ([[1, 2]], 2))
+@example(6, ([[0, 0, 0]], 3))
+def test_kernel_mod_m_is_every_solution_in_a_box(modulus, case):
+    rows, ncols = case
+    basis = kernel_basis_mod(rows, ncols, modulus)
+    for v in basis:
+        assert all(x % modulus == 0 for x in _image(rows, v))
+    # The lattice holds m Z^n, so the box [0, m)^n meets every residue class.
+    for i in range(ncols):
+        assert in_lattice(basis, [modulus if j == i else 0 for j in range(ncols)])
+    for v in product(range(modulus), repeat=ncols):
+        solves = all(x % modulus == 0 for x in _image(rows, v))
+        assert in_lattice(basis, v) == solves, v
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(matrices(max_rows=2, max_cols=3, min_cols=0))
+@example(([[1, 2, 1]], 3))
+def test_integer_kernel_holds_every_solution_in_a_box(case):
+    rows, ncols = case
+    basis = kernel_basis_mod(rows, ncols, 0)
+    for v in basis:
+        assert not any(_image(rows, v))
+    for v in product(range(-3, 4), repeat=ncols):
+        assert in_lattice(basis, v) == (not any(_image(rows, v))), v
