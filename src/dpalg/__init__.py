@@ -10,9 +10,7 @@ from .coeff import (
     ZZ,
     cartan_congruence_residue,
     gamma_compose_coeff,
-    gamma_product_coeff,
     gcd_middle_binomials,
-    scalar_pow,
 )
 from .dpcore import (
     AlgebraSpec,
@@ -24,7 +22,6 @@ from .dpcore import (
     dp_map_apply,
     free_spec,
     gamma_gen,
-    weight_components,
 )
 from .envelope import (
     UElement,
@@ -83,7 +80,6 @@ __all__ = [
     "free_spec",
     "gamma_compose_coeff",
     "gamma_gen",
-    "gamma_product_coeff",
     "gcd_middle_binomials",
     "indecomposables",
     "invariant_factor_chain",
@@ -92,7 +88,6 @@ __all__ = [
     "phi_inversion",
     "phi_of",
     "presentation_of_omega",
-    "scalar_pow",
     "semidirect_gamma",
     "smith_diagonal",
     "u0_basis_up_to",
@@ -101,5 +96,4 @@ __all__ = [
     "verify_beck_axioms",
     "verify_indecomposables",
     "verify_main_theorem",
-    "weight_components",
 ]

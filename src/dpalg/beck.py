@@ -100,12 +100,6 @@ class UModule:
         moduli = self.moduli
         return all(not (v % moduli[i] if moduli[i] else v) for i, v in image.items())
 
-    def act_monomial(self, mono, vec):
-        columns = self._a_columns.get(mono)
-        if columns is None:
-            return self.zero_vec()
-        return self._vector(_image(columns, [(j, v) for j, v in enumerate(vec) if v]))
-
     def _act_image(self, a, vec, image):
         """Add into ``image`` the unreduced image of ``vec`` under the action of ``a``."""
         pairs = [(j, v) for j, v in enumerate(vec) if v]

@@ -3,8 +3,9 @@
 Subcommands: normalize, gamma, diff, omega-basis, indec, oracle-omega, check.
 Exit codes: 0 success/verified, 1 check failure, 2 usage or parse error.
 
-JSON schema for algebra elements (generator indices are 1-based, coefficients
-are decimal strings to keep arbitrary precision intact):
+With --json, algebra elements are printed in the schema below.  It is output
+only: the CLI reads expressions, never JSON.  Generator indices are 1-based
+and coefficients are decimal strings, to keep arbitrary precision intact:
 
     {"ring": "z" | {"zmod": M}, "trunc": N,
      "terms": [{"coeff": "-10", "monomial": [[i, e], ...]}, ...]}
@@ -19,7 +20,7 @@ import json
 import sys
 
 from .coeff import Ring, ZZ
-from .dpcore import AlgebraSpec, DPElement, divided_power
+from .dpcore import AlgebraSpec, divided_power
 from .envelope import UNIT
 from .kahler import indecomposables, omega_free_basis, universal_derivation
 from .oracle import verify_indecomposables, verify_main_theorem
@@ -41,17 +42,6 @@ def element_to_json(element):
         for mono, c in element.sorted_terms()
     ]
     return {"ring": ring_to_json(spec.ring), "trunc": spec.truncation, "terms": terms}
-
-
-def element_from_json(data, spec):
-    expected_ring = ring_to_json(spec.ring)
-    if data.get("ring") != expected_ring or data.get("trunc") != spec.truncation:
-        raise ValueError("JSON ring/truncation does not match the requested algebra")
-    terms = {}
-    for term in data["terms"]:
-        mono = tuple((gen - 1, e) for gen, e in term["monomial"])
-        terms[mono] = terms.get(mono, 0) + int(term["coeff"])
-    return DPElement(spec, terms)
 
 
 def omega_to_json(element):
@@ -221,19 +211,19 @@ def run(argv):
 
         if args.command == "indec":
             spec = build_spec(args)
-            q = indecomposables(spec)
+            per_weight = indecomposables(spec)
             if args.json:
                 payload = {
                     "ring": ring_to_json(spec.ring),
                     "trunc": spec.truncation,
                     "summands": [
                         {"weight": w, "generator": gen + 1, "annihilator": ann}
-                        for w, gen, ann in q.summands
+                        for w in sorted(per_weight)
+                        for gen, ann in per_weight[w]
                     ],
                 }
                 print(json.dumps(payload, indent=2))
             else:
-                per_weight = q.per_weight()
                 for w in sorted(per_weight):
                     if not per_weight[w]:
                         print(f"w={w}: (nothing)")

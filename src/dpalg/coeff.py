@@ -26,12 +26,6 @@ class Ring:
     def normalize(self, value):
         return value if self.modulus == 0 else value % self.modulus
 
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
     def pow(self, base, exponent):
         """base**exponent in the ring; exponent 0 gives the ring unit 1."""
         if exponent < 0:
@@ -55,18 +49,6 @@ class Ring:
 
 
 ZZ = Ring(0)
-
-
-def scalar_pow(ring, value, exponent):
-    """Canonical r**n in ``ring``; the twist phi_p r = r^p phi_p uses this."""
-    return ring.pow(ring.normalize(value), exponent)
-
-
-def gamma_product_coeff(m, n):
-    """(m+n)!/(m!n!), the coefficient in gamma_m(a)*gamma_n(a)."""
-    if m < 1 or n < 1:
-        raise ValueError("gamma indices must be >= 1")
-    return comb(m + n, m)
 
 
 def gamma_compose_coeff(m, n):

@@ -234,7 +234,7 @@ class DPElement(SparseElement):
                 c = ring.normalize(ca * cb * binom)
                 if c == 0:
                     continue
-                s = ring.add(out.get(mono, 0), c)
+                s = ring.normalize(out.get(mono, 0) + c)
                 if s == 0:
                     out.pop(mono, None)
                 else:
@@ -317,19 +317,18 @@ def divided_powers(n, element):
 
 
 def divided_power(n, element):
-    """gamma_n of an arbitrary element: the last entry of ``divided_powers``."""
+    """gamma_n of an arbitrary element: the last entry of ``divided_powers``.
+
+    Every term of gamma_n(a) weighs at least n times the least term weight of
+    a (zero has none), so past N it is zero without building n entries.
+    """
     if n == 1:
         return element
-    return divided_powers(n, element)[-1]
-
-
-def weight_components(element):
-    """Split by monomial weight; the values sum back to the element."""
     spec = element.spec
-    buckets = {}
-    for mono, c in element.terms.items():
-        buckets.setdefault(spec.monomial_weight(mono), {})[mono] = c
-    return {w: DPElement._raw(spec, terms) for w, terms in sorted(buckets.items())}
+    least = min(map(spec.monomial_weight, element.terms), default=spec.truncation + 1)
+    if n > 1 and n * least > spec.truncation:
+        return zero(spec)
+    return divided_powers(n, element)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -355,11 +354,10 @@ def basis_of_weight(spec, weight):
     return found
 
 
-def basis_up_to(spec, cap=None):
-    """Monomials of every weight 1..cap, ordered by (weight, monomial order)."""
-    cap = spec.truncation if cap is None else cap
+def basis_up_to(spec):
+    """Monomials of every weight 1..N, ordered by (weight, monomial order)."""
     out = []
-    for w in range(1, cap + 1):
+    for w in range(1, spec.truncation + 1):
         out.extend(basis_of_weight(spec, w))
     return out
 
@@ -398,14 +396,14 @@ def dp_map_apply(images, element):
     return result
 
 
-def random_element(spec, rng, max_terms=3, coeff_bound=9, max_weight=None):
-    """A small random element; term monomials drawn uniformly per weight."""
-    cap = spec.truncation if max_weight is None else min(max_weight, spec.truncation)
+def random_element(spec, rng, max_terms=3):
+    """A small random element; term monomials drawn uniformly per weight,
+    coefficients from -9..9."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        w = rng.randint(1, cap)
+        w = rng.randint(1, spec.truncation)
         mono = rng.choice(basis_of_weight(spec, w))
-        c = rng.randint(-coeff_bound, coeff_bound)
+        c = rng.randint(-9, 9)
         terms[mono] = terms.get(mono, 0) + c
     return DPElement(spec, terms)
 

@@ -44,7 +44,7 @@ from .envelope import (
     phi_sort_key,
 )
 from .beck import UModule
-from .linalg import smith_diagonal
+from .linalg import spans_full_lattice
 from .report import CheckReport
 
 
@@ -287,7 +287,7 @@ def factor_derivation_through_d(table, module):
     def f_entry(entry):
         vec = module.phi_n(phi_degree(entry.phi), module.reduce(table[entry.label]))
         if entry.amono is not None:
-            vec = module.act_monomial(entry.amono, vec)
+            vec = module.act(from_terms(spec, {entry.amono: 1}), vec)
         return vec
 
     entry_values = [f_entry(entry) for entry in entries]
@@ -308,8 +308,8 @@ def factor_derivation_through_d(table, module):
         equations.append([coords[k] for k in generator_columns])
     report.check(
         "generator equations have full column rank",
-        smith_diagonal(equations, len(labels)),
-        [1] * len(labels),
+        spans_full_lattice(equations, len(labels)),
+        True,
     )
     for mono in basis_up_to(spec):
         report.check(
@@ -467,32 +467,22 @@ def presentation_of_omega(spec, gamma_relation_sign=-1):
 # Indecomposables
 
 
-@dataclass
-class QModuleDescription:
-    """Closed form of A/A^2 = U(0) (x) V: one summand per generator and
-    prime power, annihilated as recorded (0 = free)."""
-
-    spec: object
-    summands: list  # (weight, gen, annihilator)
-
-    def per_weight(self):
-        out = {w: [] for w in range(1, self.spec.truncation + 1)}
-        for weight, gen, ann in self.summands:
-            out[weight].append((gen, ann))
-        return out
-
-    def annihilators_of_weight(self, w):
-        return [ann for weight, _, ann in self.summands if weight == w]
-
-
 def indecomposables(spec):
-    summands = []
-    for gen in range(spec.generator_count):
-        w = spec.weights[gen]
-        summands.append((w, gen, 0))
+    """Closed form of A/A^2 = U(0) (x) V, per weight: dict w -> [(gen, annihilator)].
+
+    Each generator gives a free summand in its own weight w and, for every
+    prime power q = p^e with qw <= N and p not invertible in the ring, a
+    summand phi_q x_gen of weight qw annihilated by p.
+
+    >>> from dpalg import ZZ, free_spec
+    >>> indecomposables(free_spec(ZZ, 1, 4))
+    {1: [(0, 0)], 2: [(0, 2)], 3: [(0, 3)], 4: [(0, 2)]}
+    """
+    out = {w: [] for w in range(1, spec.truncation + 1)}
+    for gen, w in enumerate(spec.weights):
+        out[w].append((gen, 0))
         for q in prime_powers_up_to(spec.truncation // w):
             p = prime_power_decomposition(q)[0]
             if phi_coefficient_modulus(spec.ring, p) > 1:
-                summands.append((q * w, gen, p))
-    summands.sort(key=lambda t: (t[0], t[1], t[2]))
-    return QModuleDescription(spec, summands)
+                out[q * w].append((gen, p))
+    return out

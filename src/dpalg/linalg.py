@@ -135,17 +135,18 @@ def in_lattice(hnf, target):
     return solve_in_lattice(hnf, target) is not None
 
 
-def smith_diagonal(rows, ncols):
+def smith_diagonal(hnf, ncols):
     """Positive diagonal d_1 | d_2 | ... of the Smith normal form (length = rank).
 
-    Alternates Hermite forms of the matrix and of its transpose until every
+    ``hnf`` is a ``HermiteBasis`` as ``hermite_form`` returns it, with
+    ``ncols`` columns (which its rows do not show when there are none).
+    Alternates Hermite forms of its transpose and of the matrix until every
     row has one nonzero entry (Kannan and Bachem 1979), then merges that
     diagonal into a divisibility chain, padded with 1s up to the rank.
 
-    >>> smith_diagonal([[2, 0], [0, 3]], 2)
+    >>> smith_diagonal(hermite_form([[2, 0], [0, 3]], 2), 2)
     [1, 6]
     """
-    hnf = hermite_form(rows, ncols)
     while any(len(support) > 1 for support in hnf.supports):
         hnf = hermite_form(list(zip(*hnf)), len(hnf))
     chain = invariant_factor_chain([row[pcol] for pcol, row in zip(hnf.pivots, hnf)], ZZ)
@@ -164,7 +165,8 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     echelon form puts zeros below it), so column operations clear its row
     without touching any other: the row and its column split off as a Z/1
     summand.  The Smith step sees only the core, the non-unit-pivot rows
-    restricted to the remaining columns.
+    restricted to the remaining columns: deleting those rows and columns
+    keeps a Hermite form, with its pivots renumbered.
     """
     rows = [list(r) for r in relation_rows]
     if column_annihilators:
@@ -179,7 +181,9 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     hnf = hermite_form(rows, ncols)
     units = {pcol for pcol, row in zip(hnf.pivots, hnf) if row[pcol] == 1}
     kept = [j for j in range(ncols) if j not in units]
-    core = [[row[j] for j in kept] for pcol, row in zip(hnf.pivots, hnf) if pcol not in units]
+    position = {j: i for i, j in enumerate(kept)}
+    rest = [(position[pcol], row) for pcol, row in zip(hnf.pivots, hnf) if pcol in position]
+    core = HermiteBasis([[row[j] for j in kept] for _, row in rest], [p for p, _ in rest])
     diagonal = smith_diagonal(core, len(kept))
     chain = [d for d in diagonal if d != 1]
     chain.extend([0] * (len(kept) - len(diagonal)))

@@ -7,13 +7,11 @@ from dpalg.coeff import (
     ZZ,
     cartan_congruence_residue,
     gamma_compose_coeff,
-    gamma_product_coeff,
     gcd_middle_binomials,
     is_prime,
     prime_power_decomposition,
     prime_powers_up_to,
     primes_up_to,
-    scalar_pow,
 )
 
 
@@ -30,16 +28,7 @@ def test_ring_validation():
 def test_canonical_residues():
     r6 = Ring(6)
     assert r6.normalize(-1) == 5
-    assert r6.add(4, 5) == 3
-    assert r6.mul(4, 5) == 2
     assert ZZ.normalize(-7) == -7
-
-
-def test_scalar_pow():
-    assert scalar_pow(ZZ, 2, 3) == 8
-    assert scalar_pow(Ring(4), 3, 2) == 1
-    assert scalar_pow(Ring(7), 5, 0) == 1
-    assert scalar_pow(ZZ, 11, 0) == 1
 
 
 def test_effective_annihilator():
@@ -50,17 +39,6 @@ def test_effective_annihilator():
     assert r6.effective_annihilator(2) == 2
     assert r6.effective_annihilator(5) == 1
     assert r6.effective_annihilator(4) == 2
-
-
-@pytest.mark.parametrize("m,n,expected", [(2, 3, 10), (1, 1, 2), (5, 5, 252)])
-def test_gamma_product_coeff_examples(m, n, expected):
-    assert gamma_product_coeff(m, n) == expected
-
-
-def test_gamma_product_coeff_symmetry():
-    for m in range(1, 65):
-        for n in range(1, 65):
-            assert gamma_product_coeff(m, n) == gamma_product_coeff(n, m)
 
 
 @pytest.mark.parametrize("m,n,expected", [(2, 2, 3), (3, 2, 15), (4, 1, 1), (7, 1, 1)])

@@ -19,7 +19,6 @@ from dpalg.dpcore import (
     gamma_gen,
     position_index,
     random_element,
-    weight_components,
     zero,
 )
 
@@ -135,27 +134,6 @@ def test_power_identity_on_general_elements():
                 n = rng.randint(2, 5)
                 lifted = divided_powers(n, DPElement(spec, a.terms))
                 assert divided_powers(n, a) == [DPElement(reduced, g.terms) for g in lifted]
-
-
-def test_weight_components():
-    x = gamma_gen(RANK1, 0, 1)
-    g2 = gamma_gen(RANK1, 0, 2)
-    a = x + g2.scale(3)
-    split = weight_components(a)
-    assert set(split) == {1, 2}
-    assert split[1] == x
-    assert split[2] == g2.scale(3)
-    total = zero(RANK1)
-    for part in split.values():
-        total = total + part
-    assert total == a
-    assert weight_components(zero(RANK1)) == {}
-
-
-def test_weight_components_same_weight_merge():
-    x, y = gamma_gen(RANK2, 0, 1), gamma_gen(RANK2, 1, 1)
-    a = divided_power(2, x).scale(3) + x * y
-    assert list(weight_components(a)) == [2]
 
 
 def test_basis_of_weight():

@@ -36,17 +36,22 @@ def determinant(rows):
     return sign * m[n - 1][n - 1]
 
 
+def smith(rows, ncols):
+    """The Smith diagonal of the lattice spanned by ``rows``, reduced first."""
+    return smith_diagonal(hermite_form(rows, ncols), ncols)
+
+
 def test_smith_examples():
-    assert smith_diagonal([[2, -2]], 2) == [2]
-    assert smith_diagonal([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == [1, 1, 1]
-    assert smith_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
+    assert smith([[2, -2]], 2) == [2]
+    assert smith([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == [1, 1, 1]
+    assert smith([[2, 0], [0, 3]], 2) == [1, 6]
 
 
 def test_smith_divisibility_chain_and_determinant():
     rng = random.Random(7)
     for _ in range(200):
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        diag = smith_diagonal(rows, 4)
+        diag = smith(rows, 4)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
         det = determinant(rows)
@@ -60,9 +65,9 @@ def test_smith_divisibility_chain_and_determinant():
 
 
 def test_smith_rectangular():
-    assert smith_diagonal([[2, 4, 4]], 3) == [2]
-    assert smith_diagonal([[0, 0], [0, 0]], 2) == []
-    assert smith_diagonal([[6, 0], [0, 10], [0, 0]], 2) == [2, 30]
+    assert smith([[2, 4, 4]], 3) == [2]
+    assert smith([[0, 0], [0, 0]], 2) == []
+    assert smith([[6, 0], [0, 10], [0, 0]], 2) == [2, 30]
 
 
 def test_hermite_membership():
@@ -97,7 +102,7 @@ def test_kernel_basis_random_consistency():
         basis = kernel_basis_mod(rows, 5, 0)
         for v in basis:
             assert all(sum(r[j] * v[j] for j in range(5)) == 0 for r in rows)
-        assert len(basis) == 5 - len(smith_diagonal(rows, 5))
+        assert len(basis) == 5 - len(smith(rows, 5))
 
 
 def test_kernel_basis_mod():
@@ -296,5 +301,5 @@ def test_spans_full_lattice_identity_test():
     for _ in range(100):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
-        diag = smith_diagonal(rows, n)
+        diag = smith(rows, n)
         assert spans_full_lattice(rows, n) == (diag == [1] * n)

@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from dpalg.linalg import in_lattice, kernel_basis_mod, smith_diagonal
+from dpalg.linalg import hermite_form, in_lattice, kernel_basis_mod, smith_diagonal
 from test_linalg import determinant
 
 
@@ -47,7 +47,7 @@ def minors(rows, ncols, k):
 @example(([[2, 0], [0, 3]], 2))
 def test_smith_diagonal_matches_determinantal_divisors(case):
     rows, ncols = case
-    diagonal = smith_diagonal(rows, ncols)
+    diagonal = smith_diagonal(hermite_form(rows, ncols), ncols)
     rank = max(k for k in range(min(len(rows), ncols) + 1) if any(minors(rows, ncols, k)))
     assert len(diagonal) == rank
     assert all(d > 0 for d in diagonal)
