@@ -249,6 +249,9 @@ def semidirect_gamma(n, u):
     builds it from gamma_1(a) ... gamma_n(a) and each phi_j(x) computed once
     (phi_{p^e} as phi_p of phi_{p^(e-1)}, zero unless j is 1 or a prime
     power): v_k = phi_k(x) + sum_{j<k} gamma_{k-j}(a) phi_j(x), reduced once.
+    Only nonzero phi_j(x) are kept (phi_p is additive, so phi_{p^e}(x) = 0
+    once phi_{p^(e-1)}(x) = 0), and a term whose gamma_{k-j}(a) is zero is
+    skipped.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
@@ -258,16 +261,17 @@ def semidirect_gamma(n, u):
     if len(kept) < n:
         mod = u.module
         gammas = divided_powers(n, u.a)
-        phis = {1: u.x}
+        phis = {1: u.x} if any(u.x) else {}
         for j in range(2, n + 1):
-            if (phi := phi_of(j)) is not None:
-                phis[j] = mod.phi_p(phi[0], phis[j // phi[0]])
+            if (phi := phi_of(j)) is not None and j // phi[0] in phis:
+                if any(image := mod.phi_p(phi[0], phis[j // phi[0]])):
+                    phis[j] = image
         kept = [u]
         for k in range(2, n + 1):
             image = dict(enumerate(phis.get(k, ())))
-            for j in range(1, k):
-                if j in phis:
-                    mod._act_image(gammas[k - j - 1], phis[j], image)
+            for j, x in phis.items():
+                if j < k and gammas[k - j - 1].terms:
+                    mod._act_image(gammas[k - j - 1], x, image)
             kept.append(SemidirectElement(mod, gammas[k - 1], mod._vector(image)))
         u._gammas = kept
     return kept[n - 1]

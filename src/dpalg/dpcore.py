@@ -27,7 +27,7 @@ g2(x1) + x1*x2 + g2(x2)
 2*x1, 4*g2(x1), 8*g3(x1)
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -37,11 +37,16 @@ from .report import CheckReport
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Free DP algebra on len(weights) generators, truncated above weight N."""
+    """Free DP algebra on len(weights) generators, truncated above weight N.
+
+    ``_weight_of`` memoizes ``monomial_weight``; equality, hashing and the
+    repr ignore it.
+    """
 
     ring: Ring
     weights: tuple
     truncation: int
+    _weight_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -57,7 +62,10 @@ class AlgebraSpec:
         return len(self.weights)
 
     def monomial_weight(self, mono):
-        return sum(e * self.weights[i] for i, e in mono)
+        w = self._weight_of.get(mono)
+        if w is None:
+            w = self._weight_of[mono] = sum(e * self.weights[i] for i, e in mono)
+        return w
 
 
 def free_spec(ring, generators, truncation, weights=None):
@@ -272,7 +280,9 @@ def divided_powers(n, element):
     where g_j = g_{j-1} * c * prod C(j e_i, e_i) / j, both sides being
     c^j m^j / j!.  One dict per index absorbs the terms of ``a`` one at a
     time; it is updated from index n down, so that seq[k - j] still holds
-    the earlier terms only.  Weights are cut at N as terms are merged.
+    the earlier terms only.  Those reach index ``reach`` at most (the sum of
+    their ``top``s), so j starts at k - reach.  Weights are cut at N as terms
+    are merged.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
@@ -283,6 +293,7 @@ def divided_powers(n, element):
     cap = spec.truncation
     seq = [{} for _ in range(n + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
     weight = {}
+    reach = 0  # seq[k] is empty for every k > reach
     for mono, c in element.terms.items():
         w = spec.monomial_weight(mono)
         top = min(n, cap // w)
@@ -295,7 +306,7 @@ def divided_powers(n, element):
             gammas.append((g, tuple((gen, j * e) for gen, e in mono), j * w))
         for k in range(n, 0, -1):
             out = seq[k]
-            for j in range(1, min(k - 1, top) + 1):
+            for j in range(max(1, k - reach), min(k - 1, top) + 1):
                 gcoeff, gmono, gweight = gammas[j]
                 for m, v in seq[k - j].items():
                     total = weight[m] + gweight
@@ -308,6 +319,7 @@ def divided_powers(n, element):
                 gcoeff, gmono, gweight = gammas[k]
                 weight[gmono] = gweight
                 out[gmono] = out.get(gmono, 0) + gcoeff
+        reach = min(n, reach + top)
     normalize = spec.ring.normalize
     element._gammas = [
         DPElement._raw(spec, {m: r for m, c in terms.items() if (r := normalize(c))})

@@ -1,13 +1,17 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, integer
 kernels, and invariant factors of finitely generated quotients.
 
-Everything works on lists of lists of Python ints; no floating point.  The
-one elimination is ``hermite_form``.  A kernel is read off one Hermite form
-of the augmented transpose, and a Smith form off Hermite forms of a matrix
-and its transpose, alternated until diagonal (Kannan and Bachem, SIAM J.
-Comput. 8, 1979).
+Everything takes and returns lists of lists of Python ints; no floating
+point.  The one elimination is ``hermite_form``.  It works on sparse rows,
+dicts of their nonzero entries bucketed by leading column, so a column's gcd
+steps see only the rows that start there and touch only nonzero entries
+(sparse elimination as in Dumas, Saunders and Villard, J. Symb. Comput. 32,
+2001).  A kernel is read off one Hermite form of the augmented transpose,
+and a Smith form off Hermite forms of a matrix and its transpose, alternated
+until diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 """
 
+from itertools import compress
 from math import gcd
 
 from .coeff import ZZ
@@ -16,8 +20,8 @@ from .coeff import ZZ
 class HermiteBasis(list):
     """The rows of a Hermite normal form, with the pivot column of each row.
 
-    ``supports`` lists, for each row, the columns from its pivot on where the
-    row is nonzero, so every solve against the lattice is a triangular
+    ``supports`` lists, for each row, the columns where it is nonzero, all at
+    or past its pivot, so every solve against the lattice is a triangular
     substitution that touches only nonzero entries.  The rows are read-only:
     ``pivots`` and ``supports`` describe them as built.
     """
@@ -25,9 +29,7 @@ class HermiteBasis(list):
     def __init__(self, rows, pivots):
         super().__init__(rows)
         self.pivots = tuple(pivots)
-        self.supports = tuple(
-            tuple(j for j in range(pcol, len(row)) if row[j]) for pcol, row in zip(self.pivots, self)
-        )
+        self.supports = tuple(tuple(compress(range(len(row)), row)) for row in self)
 
 
 def hermite_form(rows, ncols):
@@ -35,47 +37,87 @@ def hermite_form(rows, ncols):
 
     Returns a ``HermiteBasis`` of rows in echelon form with positive pivots
     and entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
+
+    The elimination touches nonzero entries only.  Each row becomes a dict
+    {column: value} of its nonzeros, kept in the bucket of its leading
+    column.  Column ``col`` takes its bucket, and gcd steps leave one row
+    with an entry there, the pivot; a reduced row whose leading entry
+    vanished moves to the bucket of its new leading column.  Then each pivot
+    reduces the rows above it that have an entry in its column, found from a
+    column index that grows as entries fill in.
     """
-    work = [list(r) for r in rows if any(r)]
+    cols = list(range(ncols))  # a list, so compress makes no int objects
+    buckets = {}
+    for r in rows:
+        if nonzero := list(compress(cols, r)):
+            buckets.setdefault(nonzero[0], []).append({j: r[j] for j in nonzero})
     basis = []
     pivots = []
-    col = 0
-    while col < ncols and work:
-        live, rest = [], []
-        for r in work:
-            (live if r[col] else rest).append(r)
-        if not live:
-            col += 1
+    for col in cols:
+        if not buckets:
+            break
+        live = buckets.pop(col, None)
+        if live is None:
             continue
-        touched = live
         # Reduce the column to a single nonzero entry by gcd steps.
         while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            support = [j for j in range(col, ncols) if pivot[j]]
-            for r in live[1:]:
-                q = r[col] // pivot[col]
-                for j in support:
-                    r[j] -= q * pivot[j]
-            live = [r for r in live if r[col] != 0]
+            pivot = min(live, key=lambda r: abs(r[col]))
+            p = pivot[col]
+            items = [(j, v) for j, v in pivot.items() if j != col]
+            kept = [pivot]
+            for r in live:
+                if r is pivot:
+                    continue
+                q, x = divmod(r[col], p)
+                for j, v in items:
+                    y = r.get(j, 0) - q * v
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
+                if x:
+                    r[col] = x
+                    kept.append(r)
+                else:
+                    del r[col]
+                    if r:
+                        buckets.setdefault(min(r), []).append(r)
+            live = kept
         pivot = live[0]
         if pivot[col] < 0:
-            for j in range(col, ncols):
+            for j in pivot:
                 pivot[j] = -pivot[j]
-        # Only the rows reduced in this column can have become zero.
-        work = rest + [r for r in touched if r is not pivot and any(r)]
         basis.append(pivot)
         pivots.append(col)
-        col += 1
-    # Reduce entries above each pivot.
-    for i, (pcol, prow) in enumerate(zip(pivots, basis)):
-        support = [j for j in range(pcol, len(prow)) if prow[j]]
-        for above in basis[:i]:
-            q = above[pcol] // prow[pcol]
-            if q:
-                for j in support:
-                    above[j] -= q * prow[j]
-    return HermiteBasis(basis, pivots)
+    # Reduce entries above each pivot, in pivot order: a row below a pivot
+    # never has an entry in its column, and a later pivot leaves it alone.
+    holders = {pcol: [] for pcol in pivots}
+    for row in basis:
+        for j in row.keys() & holders.keys():
+            holders[j].append(row)
+    for pcol, prow in zip(pivots, basis):
+        p = prow[pcol]
+        items = prow.items()
+        for above in holders[pcol]:
+            q = above.get(pcol, 0) // p
+            if q and above is not prow:
+                for j, v in items:
+                    x = above.get(j)
+                    if x is None:
+                        above[j] = -q * v
+                        if j in holders:
+                            holders[j].append(above)
+                    elif x == q * v:
+                        del above[j]
+                    else:
+                        above[j] = x - q * v
+    dense = []
+    for row in basis:
+        out = [0] * ncols
+        for j, v in row.items():
+            out[j] = v
+        dense.append(out)
+    return HermiteBasis(dense, pivots)
 
 
 def spans_full_lattice(rows, ncols):
@@ -101,9 +143,9 @@ def kernel_basis_mod(rows, ncols, modulus):
     [[2, 1], [0, 2]]
     """
     nrows = len(rows)
-    augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    augmented = [[row[j] for row in rows] + _unit_row(ncols, j, 1) for j in range(ncols)]
     if modulus:
-        augmented += [[modulus if i == j else 0 for i in range(nrows)] + [0] * ncols for j in range(nrows)]
+        augmented += [_unit_row(nrows + ncols, j, modulus) for j in range(nrows)]
     reduced = hermite_form(augmented, nrows + ncols)
     first = sum(pcol < nrows for pcol in reduced.pivots)
     return HermiteBasis([row[nrows:] for row in reduced[first:]], [p - nrows for p in reduced.pivots[first:]])
@@ -158,7 +200,9 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
 
     Over Z/m the m*identity relations are adjoined before the SNF, so a free
     column contributes a Z/m summand.  The result is the canonical chain
-    d_1 | d_2 | ... with 1s dropped and one 0 per free summand.
+    d_1 | d_2 | ... with 1s dropped and one 0 per free summand.  Relations
+    handed in as a ``HermiteBasis`` with nothing adjoined are used as they
+    are: the Hermite form of a Hermite form is itself.
 
     In the Hermite form of the relations a pivot equal to 1 is the only
     nonzero entry of its column (entries above it are reduced into [0, 1),
@@ -168,17 +212,15 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     restricted to the remaining columns: deleting those rows and columns
     keeps a Hermite form, with its pivots renumbered.
     """
-    rows = [list(r) for r in relation_rows]
-    if column_annihilators:
-        for j, d in enumerate(column_annihilators):
-            if d:
-                rows.append([d if i == j else 0 for i in range(ncols)])
+    adjoined = [_unit_row(ncols, j, d) for j, d in enumerate(column_annihilators or ()) if d]
     if ring.modulus:
-        for j in range(ncols):
-            rows.append([ring.modulus if i == j else 0 for i in range(ncols)])
-    # Hermite reduction first: cheap, and it caps the row count at ncols
-    # before the quadratic Smith elimination runs.
-    hnf = hermite_form(rows, ncols)
+        adjoined += [_unit_row(ncols, j, ring.modulus) for j in range(ncols)]
+    if adjoined or not isinstance(relation_rows, HermiteBasis):
+        # Hermite reduction first: cheap, and it caps the row count at ncols
+        # before the Smith alternation runs.
+        hnf = hermite_form([*relation_rows, *adjoined], ncols)
+    else:
+        hnf = relation_rows
     units = {pcol for pcol, row in zip(hnf.pivots, hnf) if row[pcol] == 1}
     kept = [j for j in range(ncols) if j not in units]
     position = {j: i for i, j in enumerate(kept)}
@@ -188,6 +230,13 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     chain = [d for d in diagonal if d != 1]
     chain.extend([0] * (len(kept) - len(diagonal)))
     return tuple(chain)
+
+
+def _unit_row(ncols, j, d):
+    """d times the j-th unit row of length ``ncols``."""
+    row = [0] * ncols
+    row[j] = d
+    return row
 
 
 def invariant_factor_chain(cyclic_orders, ring):

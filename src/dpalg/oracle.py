@@ -222,9 +222,10 @@ class OmegaOracle:
                 m_rows = ([modulus * (i == j) for i in range(n)] for j in range(n))
                 rows[beta] += [solve_in_lattice(block.kernel, r) for r in m_rows]
             # One reduction per block: the factors, class tests and the
-            # surjectivity check all start from this HNF.
+            # surjectivity check all start from this HNF.  Most product rows
+            # repeat, and a repeat adds nothing to the lattice.
             block.rows = rows[beta]
-            block.relations = hermite_form(block.rows, len(block.kernel))
+            block.relations = hermite_form(list(dict.fromkeys(map(tuple, block.rows))), len(block.kernel))
             block.factors = cokernel_factors(len(block.kernel), block.relations, ZZ)
         self.phi_tables = self._induced_phi()
 

@@ -52,6 +52,14 @@ def test_gamma_of_a_huge_index_is_zero_at_once(capsys):
     assert out.strip() == "0"
 
 
+def test_gamma_of_a_long_one_term_sequence(capsys):
+    # gamma_n of one term is one monomial; the sequence skips the empty
+    # products with earlier terms, of which there are none.
+    code, out, _ = invoke(capsys, "gamma", "3000", "x1", "--trunc", "3000")
+    assert code == 0
+    assert out.strip() == "g3000(x1)"
+
+
 def test_diff_command_matches_example(capsys):
     code, out, _ = invoke(capsys, "diff", "--ring", "z", "--gens", "1", "--trunc", "4", "g4(x1)")
     assert code == 0

@@ -1,6 +1,7 @@
-"""Property tests of smith_diagonal and kernel_basis_mod against references
-that run no elimination from ``dpalg.linalg``: determinantal divisors from
-Bareiss determinants, and kernels by enumerating a box of vectors.
+"""Property tests of hermite_form, smith_diagonal and kernel_basis_mod
+against references that run no elimination from ``dpalg.linalg``: a dense
+Hermite loop kept here, determinantal divisors from Bareiss determinants, and
+kernels by enumerating a box of vectors.
 
 Skipped when hypothesis is not installed (it is in the ``test`` extra).
 """
@@ -29,6 +30,96 @@ def matrices(draw, max_rows, max_cols, min_cols=1):
         for dst, src in draw(st.lists(st.tuples(*[st.integers(0, len(rows) - 1)] * 2), max_size=2)):
             rows[dst] = list(rows[src])
     return rows, ncols
+
+
+def dense_hermite_form(rows, ncols):
+    """Reference Hermite form: (rows, pivots, supports) by a dense loop that
+    rescans every remaining row for each column."""
+    work = [list(r) for r in rows if any(r)]
+    basis = []
+    pivots = []
+    col = 0
+    while col < ncols and work:
+        live, rest = [], []
+        for r in work:
+            (live if r[col] else rest).append(r)
+        if not live:
+            col += 1
+            continue
+        touched = live
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            for r in live[1:]:
+                q = r[col] // pivot[col]
+                for j in range(col, ncols):
+                    r[j] -= q * pivot[j]
+            live = [r for r in live if r[col] != 0]
+        pivot = live[0]
+        if pivot[col] < 0:
+            for j in range(col, ncols):
+                pivot[j] = -pivot[j]
+        work = rest + [r for r in touched if r is not pivot and any(r)]
+        basis.append(pivot)
+        pivots.append(col)
+        col += 1
+    for i, (pcol, prow) in enumerate(zip(pivots, basis)):
+        for above in basis[:i]:
+            q = above[pcol] // prow[pcol]
+            for j in range(pcol, ncols):
+                above[j] -= q * prow[j]
+    supports = [tuple(j for j in range(ncols) if row[j]) for row in basis]
+    return basis, tuple(pivots), tuple(supports)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Wide matrices, up to 30 x 60, with 0-3 nonzeros per row and entries up
+    to 10^6 in size, so gcd chains run long; some rows are repeated, and some
+    are tuples.  The entries come from one seeded generator, which draws far
+    faster than one strategy per entry."""
+    ncols = draw(st.integers(1, 60))
+    nrows = draw(st.integers(1, 30))
+    rng = draw(st.randoms(use_true_random=True))
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for _ in range(rng.randint(0, 3)):
+            row[rng.randrange(ncols)] = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 6))
+        rows.append(row)
+    for _ in range(rng.randint(0, 3)):
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(nrows)
+        rows[i] = tuple(rows[i])
+    return rows, ncols
+
+
+def _assert_matches_dense_loop(rows, ncols):
+    before = [list(r) for r in rows]
+    hnf = hermite_form(rows, ncols)
+    assert [list(r) for r in rows] == before  # the input is left alone
+    basis, pivots, supports = dense_hermite_form(rows, ncols)
+    assert list(hnf) == basis
+    assert hnf.pivots == pivots
+    assert hnf.supports == supports
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(sparse_matrices())
+@example(([], 4))
+@example(([[0, 0, 0], (0, 0, 0)], 3))
+@example(([[0, 6, 0, 4], (0, 6, 0, 4), [0, 0, 0, 0], [0, 10, 15, 0]], 4))
+def test_hermite_form_matches_dense_loop_on_sparse_rows(case):
+    _assert_matches_dense_loop(*case)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(matrices(max_rows=6, max_cols=6, min_cols=0))
+@example(([[2, 4, 6], [1, 2, 3], [3, 6, 9]], 3))
+@example(([(-3, 5), (0, 0), (-3, 5)], 2))
+def test_hermite_form_matches_dense_loop_on_small_dense_rows(case):
+    _assert_matches_dense_loop(*case)
 
 
 def minors(rows, ncols, k):
