@@ -111,10 +111,19 @@ def test_omega_module_tables_match_golden(name, spec):
     )
 
 
-def test_presentation_matches_golden():
-    spec = free_spec(ZZ, 1, 6)
+PRESENTATION_GOLDENS = [
+    ("presentation_g1_n6_z.json", free_spec(ZZ, 1, 6)),
+    # Twisted coefficients reduced mod gcd(p, 4), and shifts by weighted monomials.
+    ("presentation_g2_w12_n6_zmod4.json", free_spec(Ring(4), 2, 6, weights=(1, 2))),
+    # Two torsion primes: phi_2 coefficients are kept mod 2, phi_3 coefficients mod 3.
+    ("presentation_g2_n5_zmod6.json", free_spec(Ring(6), 2, 5)),
+]
+
+
+@pytest.mark.parametrize("name, spec", PRESENTATION_GOLDENS, ids=[name for name, _ in PRESENTATION_GOLDENS])
+def test_presentation_matches_golden(name, spec):
     _matches_golden(
-        "presentation_g1_n6_z.json",
+        name,
         {
             str(sign): {
                 str(w): {"entries": [astuple(e) for e in s.entries], "rows": s.rows}
