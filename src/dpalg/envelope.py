@@ -22,6 +22,14 @@ dropped whenever p is invertible).  Terms sort by label, phi, then amono.
 Scalars do not commute past phi-monomials: each coefficient sits on the
 left, and products route right-hand scalars through the twist.
 
+U(A) acts by two rules on term dicts, each taking an element homogeneous of
+a known weight w to one of known weight: ``twist`` by phi_p^e (weight
+p^e * w) keeps the terms with no A_+ part and sends phi-part nu to
+phi_p^e * nu, and ``shift`` by a monomial m (weight w + w(m)) multiplies
+each A_+ part by m.  ``act_phi`` is a twist, ``act_algebra`` a sum of
+shifts, and the product is their composition: a left term c (x) mu acts as
+the twist by mu followed by the shift by c.
+
 >>> from dpalg import ZZ, free_spec
 >>> spec = free_spec(ZZ, 2, 6)
 >>> print(env_phi(spec, 3, scalar=5) - env_unit(spec, 2))
@@ -115,6 +123,65 @@ def _term_order(spec, key):
     return (label, phi_sort_key(phi), (0,) if amono is None else (1, monomial_sort_key(spec, amono)))
 
 
+def twist(spec, phi, weight, terms):
+    """phi * x on the term dict of an x homogeneous of the given weight.
+
+    A term (label, nu, None) goes to (label, phi*nu, None), its coefficient
+    read in R/p for phi = phi_p^e (see phi_coefficient_modulus).  A term with
+    an A_+ part, or with a phi part of another prime, goes to zero.  No two
+    images meet, as phi*nu determines nu.  The image weighs deg(phi) * weight;
+    returns (that weight, image terms), or None when it is past N.
+    """
+    if phi == UNIT:
+        return weight, terms
+    weight *= phi_degree(phi)
+    if weight > spec.truncation:
+        return None
+    modulus = phi_coefficient_modulus(spec.ring, phi[0])
+    out = {}
+    for (label, nu, amono), c in terms.items():
+        if amono is None and (product := phi_mul(phi, nu)) is not None:
+            c %= modulus
+            if c:
+                out[(label, product, None)] = c
+    return weight, out
+
+
+def shift(spec, mono, weight, terms, products):
+    """(mono (x) unit) * x on the term dict of an x homogeneous of the given weight.
+
+    A term (label, nu, d) goes to (label, nu, mono*d) times the binomial of
+    ``mono_mul`` (to (label, nu, mono) when d is the unit of A_+; mono None,
+    the unit, moves nothing).  No two images meet, as multiplying by mono is
+    injective on monomials.  The image weighs weight + w(mono); returns (that
+    weight, image terms), or None when it is past N.  ``products`` is the
+    caller's dict of ``mono_mul`` results, keyed by (mono, d) and filled as
+    they are needed.
+    """
+    if mono is None:
+        return weight, terms
+    weight += spec.monomial_weight(mono)
+    if weight > spec.truncation:
+        return None
+    ring = spec.ring
+    out = {}
+    for (label, nu, d), c in terms.items():
+        if d is None:
+            out[(label, nu, mono)] = c
+            continue
+        product = products.get((mono, d))
+        if product is None:
+            product = products[(mono, d)] = mono_mul(mono, d)
+        binom, merged = product
+        key = (label, nu, merged)
+        if binom != 1:
+            c = _reduce_coefficient(ring, key, c * binom)
+            if not c:
+                continue
+        out[key] = c
+    return weight, out
+
+
 class UElement(SparseElement):
     """An element of U(A) or of a free left U(A)-module on monomial labels."""
 
@@ -133,38 +200,44 @@ class UElement(SparseElement):
 
         for mu = phi_p^e, as that coefficient is kept mod p and s^(p^e) = s mod
         p; b is the algebra part and s the scalar part of the A_+ coefficient.
-        Phi-monomials of distinct primes multiply to zero.  The left factor
-        must lie in U(A); each right term keeps its label.
+        Phi-monomials of distinct primes multiply to zero.  So a left term
+        c (x) mu acts as the twist by mu followed by the shift by c.  The left
+        factor must lie in U(A); each right term keeps its label.
         """
         self._require_same(other)
         if any(label for label, _, _ in self.terms):
             raise ValueError("the left factor of a product must lie in U(A)")
-        out = {}
-        for (_, mu, c_mono), c in self.terms.items():
-            for (label, nu, d_mono), d in other.terms.items():
-                if mu == UNIT:
-                    if c_mono is None or d_mono is None:
-                        key, coeff = (label, nu, c_mono or d_mono), c * d
-                    else:
-                        binom, mono = mono_mul(c_mono, d_mono)
-                        key, coeff = (label, nu, mono), c * d * binom
-                elif d_mono is None:
-                    phi = phi_mul(mu, nu)
-                    if phi is None:
-                        continue
-                    # d^(p^e) = d mod p, and this key's coefficient is reduced mod p.
-                    key, coeff = (label, phi, c_mono), c * d
-                else:
-                    continue
-                out[key] = out.get(key, 0) + coeff
-        return UElement(self.spec, out)
+        return other._act((mu, mono, c) for (_, mu, mono), c in self.terms.items())
+
+    def _act(self, left):
+        """The sum of c * (mono (x) mu) * self over the (mu, mono, c) of ``left``,
+        mono None standing for the unit of A_+.  Each term of self is weighed
+        once, and the twist and shift carry the weights of its images."""
+        spec = self.spec
+        pieces = {}
+        for key, c in self.terms.items():
+            pieces.setdefault(term_weight(spec, key), {})[key] = c
+        products, out = {}, {}
+        for mu, mono, c in left:
+            for weight, piece in pieces.items():
+                moved = twist(spec, mu, weight, piece)
+                if moved is not None:
+                    moved = shift(spec, mono, *moved, products)
+                if moved is not None:
+                    for key, d in moved[1].items():
+                        out[key] = out.get(key, 0) + c * d
+        ring = spec.ring
+        reduced = ((key, _reduce_coefficient(ring, key, c)) for key, c in out.items())
+        return UElement._raw(spec, {key: c for key, c in reduced if c})
 
     def act_algebra(self, a):
-        """Left action of a in A (multiplication by a (x) unit)."""
-        return env_algebra(a) * self
+        """Left action of a in A (multiplication by a (x) unit): one shift per term of a."""
+        self._require_same(a)
+        return self._act((UNIT, mono, c) for mono, c in a.terms.items())
 
     def act_phi(self, p, e=1):
-        return env_phi(self.spec, p, e) * self
+        """Left action of phi_p^e: the twist by it."""
+        return self._act((((p, e), None, 1),))
 
     def act_phi_n(self, n):
         """Action of phi_n: identity for n=1, phi_p^e for n=p^e, zero else."""

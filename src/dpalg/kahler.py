@@ -19,6 +19,12 @@ Elements of Omega are envelope.UElement values on the labels dx_i =
 Omega = (U(A) (x) A)/S is the same type with every monomial as a label, so one
 basis builder (free_basis) and one coordinates function (omega_coordinates)
 serve both.
+
+S is closed under U(A) on term dicts.  Each S-generator is built and weighed
+once; the envelope rules then carry its weight w to every image: the twist
+by phi_q weighs q * w and the shift by a monomial m weighs w + w(m), and an
+image past N is never built.  presentation_relations returns (weight,
+element) pairs, so each relation goes straight to its weight's slice.
 """
 
 import random
@@ -42,6 +48,8 @@ from .envelope import (
     phi_degree,
     phi_of,
     phi_sort_key,
+    shift,
+    twist,
 )
 from .beck import UModule
 from .linalg import spans_full_lattice
@@ -395,9 +403,12 @@ def _unit_on_monomials(element):
 def presentation_relations(spec, gamma_relation_sign=-1):
     """The S-generators, instantiated on basis monomials and closed under U(A).
 
-    Returns a list of nonzero homogeneous elements of U(A) (x) A.  The second
-    family is 1 (x) gamma_n(a) - phi_n (x) a + sign * sum gamma_i(a) phi_j (x) a;
-    the derivation law forces sign = -1, which is the default.
+    Returns (weight, element) pairs of nonzero homogeneous elements of
+    U(A) (x) A.  The second family is 1 (x) gamma_n(a) - phi_n (x) a +
+    sign * sum gamma_i(a) phi_j (x) a; the derivation law forces sign = -1,
+    which is the default.  Each generator of weight w is followed by its
+    nonzero twists by phi_q (weight q * w <= N), and each of those by its
+    nonzero shifts by the basis monomials m with weight + w(m) <= N.
     """
     cap = spec.truncation
     weighted = [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
@@ -423,39 +434,43 @@ def presentation_relations(spec, gamma_relation_sign=-1):
                 rel = rel + piece.scale(gamma_relation_sign)
             base.append(rel)
 
+    # Twists and shifts both ascend in weight: the first image past N ends a loop.
     closed = []
-    prime_power_list = [prime_power_decomposition(q) for q in prime_powers_up_to(cap)]
+    twists = [prime_power_decomposition(q) for q in prime_powers_up_to(cap)]
+    products = {}
     for rel in base:
         if rel.is_zero():
             continue
-        variants = [rel]
-        for p, e in prime_power_list:
-            twisted = rel.act_phi(p, e)
-            if not twisted.is_zero():
+        w = rel.weight()
+        variants = [(w, rel.terms)]
+        for phi in twists:
+            twisted = twist(spec, phi, w, rel.terms)
+            if twisted is None:
+                break
+            if twisted[1]:
                 variants.append(twisted)
-        for variant in variants:
-            closed.append(variant)
-            w = variant.weight()
-            for mono, wm in weighted:
-                if w + wm > cap:
+        for vw, terms in variants:
+            closed.append((vw, UElement._raw(spec, terms)))
+            for mono, _ in weighted:
+                shifted = shift(spec, mono, vw, terms, products)
+                if shifted is None:
                     break
-                shifted = variant.act_algebra(from_terms(spec, {mono: 1}))
-                if not shifted.is_zero():
-                    closed.append(shifted)
+                if shifted[1]:
+                    closed.append((shifted[0], UElement._raw(spec, shifted[1])))
     return closed
 
 
 def presentation_of_omega(spec, gamma_relation_sign=-1):
     """Per-weight generators and relation rows of (U(A) (x) A)/S.
 
-    Relation rows are exactly the S-instances; the ambient mod-p torsion of
+    A weight's rows are its S-instances as coordinate vectors over the
+    weight's basis, deduplicated and sorted; the ambient mod-p torsion of
     phi-coefficients is carried by the entries' annihilators.
     """
     slices = free_basis(spec, basis_up_to(spec), phi_major=False)
     indexes = {w: basis_index(entries) for w, entries in slices.items()}
     rows = {w: set() for w in slices}
-    for rel in presentation_relations(spec, gamma_relation_sign):
-        w = rel.weight()
+    for w, rel in presentation_relations(spec, gamma_relation_sign):
         rows[w].add(tuple(omega_coordinates(rel, indexes[w])))
     return {
         w: PresentationSlice(w, slices[w], sorted(rows[w]))

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from dpalg.coeff import Ring, ZZ
-from dpalg.dpcore import divided_power, free_spec, from_terms, gamma_gen, random_element
-from dpalg.envelope import UNIT, UElement
+from dpalg.coeff import Ring, ZZ, prime_power_decomposition, prime_powers_up_to
+from dpalg.dpcore import (
+    basis_up_to,
+    divided_power,
+    free_spec,
+    from_terms,
+    gamma_gen,
+    mono_mul,
+    random_element,
+)
+from dpalg.envelope import UNIT, UElement, env_algebra, env_phi, phi_mul, phi_of
 from dpalg.kahler import (
     basis_index,
     factor_derivation_through_d,
@@ -16,6 +24,7 @@ from dpalg.kahler import (
     omega_free_basis,
     phi_inversion,
     presentation_of_omega,
+    presentation_relations,
     universal_derivation,
     universal_derivation_table,
 )
@@ -226,19 +235,125 @@ def test_presentation_weight2_rank1():
 
 
 @pytest.mark.parametrize(
-    "ring,rank", [(ZZ, 1), (ZZ, 2), (Ring(6), 2), (Ring(4), 1)], ids=str
+    "ring, rank, trunc, weights",
+    [
+        pytest.param(ZZ, 1, 6, None, id="Z-1"),
+        pytest.param(ZZ, 2, 6, None, id="Z-2"),
+        pytest.param(Ring(6), 2, 6, None, id="Z/6-2"),
+        pytest.param(Ring(4), 1, 6, None, id="Z/4-1"),
+        pytest.param(ZZ, 3, 5, None, id="Z-3-n5"),
+        pytest.param(Ring(4), 2, 6, (1, 2), id="Z/4-2-w12"),
+        pytest.param(Ring(6), 2, 6, (1, 2), id="Z/6-2-w12"),
+        pytest.param(Ring(2), 2, 5, None, id="Z/2-2-n5"),
+    ],
 )
-def test_presentation_matches_omega(ring, rank):
-    spec = free_spec(ring, rank, 6)
+def test_presentation_matches_omega(ring, rank, trunc, weights):
+    spec = free_spec(ring, rank, trunc, weights=weights)
     slices = presentation_of_omega(spec)
     omega = omega_free_basis(spec)
-    for w in range(1, 7):
+    for w in range(1, trunc + 1):
         s = slices[w]
         got = cokernel_factors(
             len(s.entries), s.rows, ring, column_annihilators=[e.annihilator for e in s.entries]
         )
         expected = invariant_factor_chain([e.annihilator for e in omega[w]], ring)
         assert got == expected, f"weight {w}: {got} != {expected}"
+
+
+def reference_product(left, right):
+    """The twisted product term by term, every result term weighed and
+    reduced by the UElement constructor: a reference that shares neither the
+    twist nor the shift rule of ``envelope``."""
+    out = {}
+    for (_, mu, c_mono), c in left.terms.items():
+        for (label, nu, d_mono), d in right.terms.items():
+            if mu == UNIT:
+                if c_mono is None or d_mono is None:
+                    key, coeff = (label, nu, c_mono or d_mono), c * d
+                else:
+                    binom, mono = mono_mul(c_mono, d_mono)
+                    key, coeff = (label, nu, mono), c * d * binom
+            elif d_mono is None:
+                phi = phi_mul(mu, nu)
+                if phi is None:
+                    continue
+                key, coeff = (label, phi, c_mono), c * d
+            else:
+                continue
+            out[key] = out.get(key, 0) + coeff
+    return UElement(right.spec, out)
+
+
+def reference_relations(spec, gamma_relation_sign=-1):
+    """S closed under U(A) by UElement products with env_phi and env_algebra
+    factors, each result weighed with weight(): (weight, element) pairs."""
+
+    def on_label(element, label, phi=UNIT):
+        return UElement(spec, {(label, phi, m): c for m, c in element.terms.items()})
+
+    def unit_on_monomials(element):
+        return UElement(spec, {(m, UNIT, None): c for m, c in element.terms.items()})
+
+    cap = spec.truncation
+    weighted = [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
+    base = []
+    for ai, (a, wa) in enumerate(weighted):
+        a_el = from_terms(spec, {a: 1})
+        for b, wb in weighted[ai:]:
+            if wa + wb <= cap:
+                b_el = from_terms(spec, {b: 1})
+                base.append(on_label(a_el, b) + on_label(b_el, a) - unit_on_monomials(a_el * b_el))
+        for n in range(2, cap // wa + 1):
+            rel = unit_on_monomials(divided_power(n, a_el))
+            if prime_power_decomposition(n) is not None:
+                rel = rel - UElement(spec, {(a, prime_power_decomposition(n), None): 1})
+            for i in range(1, n):
+                if phi_of(n - i) is not None:
+                    piece = on_label(divided_power(i, a_el), a, phi_of(n - i))
+                    rel = rel + piece.scale(gamma_relation_sign)
+            base.append(rel)
+    closed = []
+    for rel in base:
+        if rel.is_zero():
+            continue
+        variants = [rel]
+        for q in prime_powers_up_to(cap):
+            twisted = reference_product(env_phi(spec, *prime_power_decomposition(q)), rel)
+            if not twisted.is_zero():
+                variants.append(twisted)
+        for variant in variants:
+            closed.append((variant.weight(), variant))
+            for mono, wm in weighted:
+                if variant.weight() + wm > cap:
+                    break
+                shifted = reference_product(env_algebra(from_terms(spec, {mono: 1})), variant)
+                if not shifted.is_zero():
+                    closed.append((shifted.weight(), shifted))
+    return closed
+
+
+CLOSURE_CASES = [  # (ring, rank, N, weights)
+    (ZZ, 1, 8, (1,)),
+    (Ring(2), 2, 6, (1, 1)),
+    (Ring(4), 2, 7, (1, 2)),
+    (Ring(6), 2, 8, (2, 3)),
+    (ZZ, 2, 9, (2, 3)),
+    (Ring(6), 3, 5, (1, 1, 1)),
+    (ZZ, 3, 6, (1, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize(
+    "ring, rank, trunc, weights",
+    CLOSURE_CASES,
+    ids=[f"{ring}-n{trunc}-w{''.join(map(str, w))}" for ring, _, trunc, w in CLOSURE_CASES],
+)
+def test_presentation_relations_match_reference_closure(ring, rank, trunc, weights, sign):
+    spec = free_spec(ring, rank, trunc, weights=weights)
+    got = presentation_relations(spec, gamma_relation_sign=sign)
+    assert got == reference_relations(spec, gamma_relation_sign=sign)
+    assert all(rel.weight() == w for w, rel in got)
 
 
 def test_presentation_weight1_has_no_relations():
