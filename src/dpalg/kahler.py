@@ -50,6 +50,7 @@ from .envelope import (
     phi_sort_key,
     shift,
     twist,
+    u0_basis_up_to,
 )
 from .beck import UModule
 from .linalg import spans_full_lattice
@@ -80,22 +81,20 @@ class BasisEntry:
 def free_basis(spec, labels, phi_major):
     """The closed-form basis of the free U(A)-module on ``labels``, per weight.
 
-    Returns dict w -> [BasisEntry].  Unit phi-part entries are free; phi_p^e
-    entries carry annihilator p and are dropped when p is invertible in the
-    coefficient ring.  A slice is ordered by (phi, label, amono) when
+    Returns dict w -> [BasisEntry].  The phi-parts and their annihilators
+    are U(0)'s basis, ``u0_basis_up_to``: unit phi-part entries are free;
+    phi_p^e entries carry annihilator p and are dropped when p is invertible
+    in the coefficient ring.  A slice is ordered by (phi, label, amono) when
     ``phi_major`` and by (label, phi, amono) otherwise, with labels in the
     given order and the unit of A_+ before the monomials in basis order.
     """
     cap = spec.truncation
     # (amono, weight) with the unit of A_+ first, then the monomials by weight.
     amonos = [(None, 0)] + [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
-    phis = [UNIT] + [phi_of(q) for q in prime_powers_up_to(cap)]
+    u0_basis = u0_basis_up_to(cap, spec.ring)
     keyed = {w: [] for w in range(1, cap + 1)}
     for li, label in enumerate(labels):
-        for phi in phis:
-            if phi != UNIT and phi_coefficient_modulus(spec.ring, phi[0]) == 1:
-                continue
-            ann = 0 if phi == UNIT else phi[0]
+        for phi, ann in u0_basis:
             rank = (phi_sort_key(phi), li) if phi_major else (li, phi_sort_key(phi))
             base = phi_degree(phi) * spec.monomial_weight(label)
             for position, (amono, extra) in enumerate(amonos):
@@ -495,9 +494,6 @@ def indecomposables(spec):
     """
     out = {w: [] for w in range(1, spec.truncation + 1)}
     for gen, w in enumerate(spec.weights):
-        out[w].append((gen, 0))
-        for q in prime_powers_up_to(spec.truncation // w):
-            p = prime_power_decomposition(q)[0]
-            if phi_coefficient_modulus(spec.ring, p) > 1:
-                out[q * w].append((gen, p))
+        for phi, ann in u0_basis_up_to(spec.truncation // w, spec.ring):
+            out[phi_degree(phi) * w].append((gen, ann))
     return out

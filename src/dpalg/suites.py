@@ -30,6 +30,11 @@ from .report import CheckReport
 AXIOM_RINGS = (ZZ, Ring(4), Ring(5), Ring(6))
 AXIOM_RANKS = (1, 2)
 AXIOM_TRUNCATIONS = (6, 10)
+CONGRUENCE_K_MAX = 40
+CONGRUENCE_P_MAX = 13
+GCD_N_MAX = 64
+REMARK54_RANK = 2
+REMARK54_TRUNCATION = 8
 
 
 def suite_axioms(samples=200, seed=0):
@@ -51,17 +56,19 @@ def suite_axioms(samples=200, seed=0):
     return report
 
 
-def suite_congruence(k_max=40, p_max=13):
-    report = CheckReport(f"Cartan congruence, primes <= {p_max}, k <= {k_max}")
-    for p in primes_up_to(p_max):
-        bad = [k for k in range(1, k_max + 1) if cartan_congruence_residue(k, p) != 1]
+def suite_congruence():
+    report = CheckReport(
+        f"Cartan congruence, primes <= {CONGRUENCE_P_MAX}, k <= {CONGRUENCE_K_MAX}"
+    )
+    for p in primes_up_to(CONGRUENCE_P_MAX):
+        bad = [k for k in range(1, CONGRUENCE_K_MAX + 1) if cartan_congruence_residue(k, p) != 1]
         report.record(f"(kp)!/(k!(p!)^k) = 1 mod {p}", not bad, f"failing k: {bad}" if bad else "")
     return report
 
 
-def suite_gcd(n_max=64):
-    report = CheckReport(f"gcd of middle binomials, 2 <= n <= {n_max}")
-    for n in range(2, n_max + 1):
+def suite_gcd():
+    report = CheckReport(f"gcd of middle binomials, 2 <= n <= {GCD_N_MAX}")
+    for n in range(2, GCD_N_MAX + 1):
         decomposition = prime_power_decomposition(n)
         expected = 1 if decomposition is None else decomposition[0]
         report.check(
@@ -131,8 +138,8 @@ def suite_beck(samples=200, seed=0):
     return report
 
 
-def suite_remark54(rank=2, truncation=8):
-    return phi_consequences_report(free_spec(ZZ, rank, truncation))
+def suite_remark54():
+    return phi_consequences_report(free_spec(ZZ, REMARK54_RANK, REMARK54_TRUNCATION))
 
 
 SUITES = {

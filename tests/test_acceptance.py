@@ -141,7 +141,7 @@ def test_criterion_7_beck_modules():
 
 def test_criterion_8_derivation_consequences():
     start = time.perf_counter()
-    report = suite_remark54(rank=2, truncation=8)
+    report = suite_remark54()
     elapsed = time.perf_counter() - start
     _conclude(8, "derivation consequence identities", report.passed, elapsed, 30)
 

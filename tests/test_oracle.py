@@ -1,4 +1,5 @@
 import random
+from math import gcd
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -18,7 +19,12 @@ from dpalg.dpcore import (
     random_element,
 )
 from dpalg.kahler import omega_free_basis
-from dpalg.linalg import cokernel_factors, kernel_basis_mod, solve_in_lattice
+from dpalg.linalg import (
+    cokernel_factors,
+    invariant_factor_chain,
+    kernel_basis_mod,
+    solve_in_lattice,
+)
 from dpalg.oracle import (
     OmegaOracle,
     _closed_form_rep,
@@ -336,20 +342,38 @@ def test_induced_phi_is_additive_on_classes():
                 assert oracle.class_is_zero(mixed)
 
 
-def test_gradewise_stability_under_deeper_truncation():
-    small = free_spec(ZZ, 1, 4)
-    big = free_spec(ZZ, 1, 6)
-    _, fold_small = fold_kernel(small)
-    _, fold_big = fold_kernel(big)
-    blocks = [((0, w),) for w in range(1, 5)]
-    for beta in blocks:
-        assert fold_small[beta].matrix == fold_big[beta].matrix
-        assert fold_small[beta].kernel == fold_big[beta].kernel
-    oracle_small = OmegaOracle(small)
-    oracle_big = OmegaOracle(big)
-    for beta in blocks:
-        assert oracle_small.blocks[beta].factors == oracle_big.blocks[beta].factors
-        assert sorted(oracle_small.blocks[beta].rows) == sorted(oracle_big.blocks[beta].rows)
+@pytest.mark.parametrize(
+    "rank, weights, ring",
+    [(1, None, ZZ), (2, None, ZZ), (2, None, Ring(6)), (2, (1, 2), ZZ)],
+    ids=["rank1-Z", "rank2-Z", "rank2-Z/6", "w12-Z"],
+)
+def test_gradewise_stability_under_deeper_truncation(rank, weights, ring):
+    # Raising N adds blocks of higher weight but changes none below it.
+    oracles = [OmegaOracle(free_spec(ring, rank, n, weights)) for n in (5, 6, 7)]
+    for small, big in zip(oracles, oracles[1:]):
+        for beta, block in small.blocks.items():
+            deeper = big.blocks[beta]
+            assert block.matrix == deeper.matrix, beta
+            assert block.kernel == deeper.kernel, beta
+            assert block.factors == deeper.factors, beta
+            assert sorted(block.rows) == sorted(deeper.rows), beta
+        for key, table in small.phi_tables.items():
+            assert big.phi_tables[key] == table, key
+
+
+@pytest.mark.parametrize(
+    "rank, truncation, weights", [(2, 7, None), (3, 4, None), (2, 6, (1, 2)), (2, 12, (1, 12))]
+)
+def test_blocks_over_zmod_are_the_base_change_of_blocks_over_z(rank, truncation, weights):
+    # I/I^2 over Z/m is I/I^2 over Z tensored with Z/m, block by block:
+    # Z tensors to Z/m and Z/d to Z/gcd(d, m).  No closed form enters.
+    over_z = OmegaOracle(free_spec(ZZ, rank, truncation, weights)).blocks
+    for m in (2, 4, 6, 9, 12):
+        over_m = OmegaOracle(free_spec(Ring(m), rank, truncation, weights)).blocks
+        assert over_m.keys() == over_z.keys()
+        for beta, block in over_m.items():
+            expected = [m if d == 0 else gcd(d, m) for d in over_z[beta].factors]
+            assert block.factors == invariant_factor_chain(expected, ZZ), (m, beta)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
