@@ -7,9 +7,19 @@ pairwise products of kernel basis vectors, and quotients are compared purely
 through Smith normal form invariant factors.  All of these preserve the Z^k
 multidegree (``fold_degree``), so I, I^2 and I/I^2 are built, reduced and
 solved one block per monomial of A, and a weight's invariant factors merge
-those of its blocks.  A product of kernel rows from blocks beta1 and beta2
-is written straight into the coordinates of block beta1 + beta2, through a
-table of that block pair's monomial products built on its first use.  A/A^2
+those of its blocks.
+
+A block depends only on the sorted (weight, exponent) pairs of its monomial
+beta: permuting generators of equal weight, on both coproduct copies, maps
+one block onto another.  So only the canonical block of each such exponent
+class is built (``exponent_class``); every other block is a view of it, with
+the relabeled domain in the same order, sharing its fold row, kernel, I^2
+rows, relations and factors.  The kernel of a block's one-row fold map has
+the Hermite basis e_i + t_i e_last, plus m e_last over Z/m, checked once per
+class, so kernel coordinates are read off by projection.  A product of
+kernel rows from blocks beta1 and beta2 is written straight into the
+coordinates of block beta1 + beta2, through a table of that block pair's
+monomial products, and only when that block is canonical.  A/A^2
 splits into one-column blocks, one per monomial, each cyclic of order the
 gcd of the modulus and the coefficients landing on it.  The fold map is the
 only DP map evaluated generically (``dp_map_apply``); the coproduct
@@ -54,7 +64,6 @@ from .linalg import (
     in_lattice,
     invariant_factor_chain,
     kernel_basis_mod,
-    solve_in_lattice,
     spans_full_lattice,
 )
 from .report import CheckReport
@@ -133,44 +142,122 @@ def factor_pairs(groups, w):
 @dataclass
 class Block:
     """The coproduct monomials folding onto one monomial of A, the fold map on
-    them (one row: the block has one target monomial) and the HNF of its
-    kernel; ``OmegaOracle`` adds the I^2 rows in kernel coordinates, their
-    HNF ``relations`` and the invariant factors of this block of I/I^2."""
+    them (one row: the block has one target monomial), the HNF of its kernel
+    and that HNF's last column ``last``; ``OmegaOracle`` adds the I^2 rows in
+    kernel coordinates, their HNF ``relations`` and the invariant factors of
+    this block of I/I^2.
+
+    ``canonical`` keys the block of this block's exponent class that was
+    built.  A block that is not its own canonical block is a view: its
+    ``domain`` and ``index`` are its own, the canonical domain relabeled in
+    the same order, and every other field is the canonical block's object.
+    """
 
     weight: int
     domain: list
     index: dict
     matrix: list
     kernel: list
+    last: list
+    canonical: tuple
     rows: list = None
     relations: list = None
     factors: tuple = None
 
 
+def exponent_class(beta, weights):
+    """The canonical monomial of beta's exponent class, and for each of its
+    generators the generator of beta it stands for.
+
+    Generators of equal weight take beta's exponents in non-increasing order
+    of generator index; ties and absent generators keep index order.  The
+    canonical monomial is the lexicographically largest of the class, so its
+    block comes first among the class's blocks of a weight.
+
+    >>> exponent_class(((1, 2), (2, 1)), (1, 1, 1))
+    (((0, 2), (1, 1)), [1, 2, 0])
+    """
+    exponent = dict(beta)
+    groups = {}
+    for gen, w in enumerate(weights):
+        groups.setdefault(w, []).append(gen)
+    stands_for = [0] * len(weights)
+    for gens in groups.values():
+        for slot, gen in zip(gens, sorted(gens, key=lambda g: -exponent.get(g, 0))):
+            stands_for[slot] = gen
+    canonical = tuple((slot, exponent[gen]) for slot, gen in enumerate(stands_for) if gen in exponent)
+    return canonical, stands_for
+
+
 def fold_kernel(spec):
-    """The codiagonal A ∐ A -> A and its integer kernel, block by block."""
+    """The codiagonal A ∐ A -> A and its integer kernel, block by block.
+
+    The canonical block of each exponent class is built: its fold row is
+    evaluated through ``dp_map_apply`` and its kernel by ``kernel_basis_mod``.
+    The fold row has coefficient 1 at y^beta, the last domain monomial, so
+    that kernel must be e_i + t_i e_last for i < n - 1, plus m e_last over
+    Z/m; a kernel of another shape raises ``ValueError``.  Every other block
+    is a view of its canonical block.
+    """
     co = coproduct(spec, spec)
     k = spec.generator_count
+    modulus = spec.ring.modulus
     images = [gamma_gen(spec, i % k, 1) for i in range(2 * k)]
     blocks = {}
     for w in range(1, spec.truncation + 1):
-        domains = {}
-        for m in basis_of_weight(co.spec, w):
-            domains.setdefault(fold_degree(m, k), []).append(m)
-        for beta, domain in domains.items():
+        for beta in basis_of_weight(spec, w):
+            canonical, stands_for = exponent_class(beta, spec.weights)
+            if canonical != beta:
+                rep = blocks[canonical]
+                relabel = [stands_for[g % k] + k * (g // k) for g in range(2 * k)]
+                domain = [tuple(sorted((relabel[g], e) for g, e in mono)) for mono in rep.domain]
+                index = position_index(domain)
+                blocks[beta] = Block(w, domain, index, rep.matrix, rep.kernel, rep.last, canonical)
+                continue
+            # x^a y^(beta - a) for 0 <= a <= beta, in the coproduct's monomial
+            # order: descending lexicographic in a.
+            domain = [
+                tuple([(g, a) for (g, _), a in zip(beta, split) if a]
+                      + [(g + k, e - a) for (g, e), a in zip(beta, split) if a < e])
+                for split in product(*(range(e, -1, -1) for _, e in beta))
+            ]
             row = [
                 coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), {beta: 0})[0]
                 for m in domain
             ]
-            kernel = kernel_basis_mod([row], len(domain), spec.ring.modulus)
-            blocks[beta] = Block(w, domain, position_index(domain), [row], kernel)
+            n = len(domain)
+            kernel = kernel_basis_mod([row], n, modulus)
+            last = [r[-1] for r in kernel]
+            shape = [[int(i == j) for j in range(n - 1)] + [t] for i, t in enumerate(last[: n - 1])]
+            if modulus:
+                shape.append([0] * (n - 1) + [modulus])
+            if len(kernel) != n - (not modulus) or kernel != shape:
+                raise ValueError(f"fold kernel of block {beta} is not e_i + t_i e_last")
+            blocks[beta] = Block(w, domain, position_index(domain), [row], kernel, last, beta)
     return co, blocks
 
 
-def _kernel_coords(block, vec):
-    """Coordinates of a vector of the block's domain over its kernel basis."""
-    coords = solve_in_lattice(block.kernel, vec)
-    if coords is None:
+def _kernel_coords(block, entries):
+    """Coordinates over the block's kernel basis of the domain vector with
+    entries ``entries`` (position -> value).
+
+    The basis is e_i + t_i e_last for i < n - 1, then m e_last over Z/m, so
+    the coordinates are the vector's entries off the last position, and the
+    residue v_last - sum v_i t_i must be 0 over Z; over Z/m it is m times the
+    last coordinate.
+    """
+    end = len(block.domain) - 1
+    coords = [0] * len(block.last)
+    residue = 0
+    for i, x in entries.items():
+        if i == end:
+            residue += x
+        else:
+            coords[i] = x
+            residue -= x * block.last[i]
+    if len(coords) > end:
+        coords[end], residue = divmod(residue, block.last[end])
+    if residue:
         raise ValueError("element does not lie in the fold kernel")
     return coords
 
@@ -188,40 +275,50 @@ class OmegaOracle:
         normalize, modulus = spec.ring.normalize, spec.ring.modulus
         # Each kernel row of weight below N (only those enter a product of
         # two kernel elements), tagged with its block, as its nonzero
-        # (domain index, coefficient) pairs.  A row in m Z^B has none, and
-        # only zero products, so it is left out.
+        # (domain index, coefficient) pairs, made once per class.  A row in
+        # m Z^B has none, and only zero products, so it is left out.
         by_weight = {w: [] for w in range(1, spec.truncation)}
+        sparse = {}
         for beta, block in self.blocks.items():
             if block.weight < spec.truncation:
-                for row in block.kernel:
-                    if pairs := [(a, c) for a, c in enumerate(map(normalize, row)) if c]:
-                        by_weight[block.weight].append((beta, pairs))
+                if block.canonical not in sparse:
+                    nonzero = ([(a, c) for a, c in enumerate(map(normalize, row)) if c] for row in block.kernel)
+                    sparse[block.canonical] = [pairs for pairs in nonzero if pairs]
+                by_weight[block.weight] += [(beta, pairs) for pairs in sparse[block.canonical]]
         # u * v for kernel rows u, v in blocks beta1, beta2, written straight
         # into the coordinates of block beta1 + beta2 through the table of
-        # that block pair, built on its first use.
-        rows = {beta: [] for beta in self.blocks}
+        # that block pair, built on its first use.  A view's rows are its
+        # canonical block's, so a pair landing in a view is skipped.
+        rows = {beta: [] for beta, block in self.blocks.items() if block.canonical == beta}
         tables = {}
         for w in range(2, spec.truncation + 1):
             for (beta1, u), (beta2, v) in factor_pairs(by_weight, w):
                 if (beta1, beta2) not in tables:
                     tables[beta1, beta2] = self._product_table(beta1, beta2)
+                if tables[beta1, beta2] is None:
+                    continue
                 beta, table = tables[beta1, beta2]
-                vec = [0] * len(self.blocks[beta].domain)
+                total = {}
                 for a, c in u:
                     line = table[a]
                     for b, d in v:
                         i, binom = line[b]
-                        vec[i] += c * d * binom
-                if modulus:
-                    vec = [x % modulus for x in vec]
-                if any(vec):
-                    rows[beta].append(_kernel_coords(self.blocks[beta], vec))
+                        total[i] = total.get(i, 0) + c * d * binom
+                if entries := {i: x for i, c in total.items() if (x := normalize(c))}:
+                    rows[beta].append(_kernel_coords(self.blocks[beta], entries))
         for beta, block in self.blocks.items():
+            if block.canonical != beta:  # its canonical block came first
+                rep = self.blocks[block.canonical]
+                block.rows, block.relations, block.factors = rep.rows, rep.relations, rep.factors
+                continue
             if modulus:  # m Z^B sits inside the lifted kernel; quotient by it too.
-                n = len(block.domain)
-                m_rows = ([modulus * (i == j) for i in range(n)] for j in range(n))
-                rows[beta] += [solve_in_lattice(block.kernel, r) for r in m_rows]
-            # One reduction per block: the factors, class tests and the
+                # m e_j is m (e_j + t_j e_last) - t_j (m e_last), and m e_last
+                # is the last kernel row.
+                end = len(block.domain) - 1
+                for j, t in enumerate(block.last[:end]):
+                    rows[beta].append([modulus * (i == j) for i in range(end)] + [-t])
+                rows[beta].append([0] * end + [1])
+            # One reduction per class: the factors, class tests and the
             # surjectivity check all start from this HNF.  Most product rows
             # repeat, and a repeat adds nothing to the lattice.
             block.rows = rows[beta]
@@ -232,8 +329,11 @@ class OmegaOracle:
     def _product_table(self, beta1, beta2):
         """Block beta1 + beta2, and for each pair (a, b) of domain positions of
         beta1 and beta2 the position of their monomials' product in that
-        block's domain and its binomial coefficient."""
+        block's domain and its binomial coefficient; None if that block is a
+        view."""
         beta = mono_mul(beta1, beta2)[1]
+        if self.blocks[beta].canonical != beta:
+            return None
         index = self.blocks[beta].index
         table = []
         for x in self.blocks[beta1].domain:
@@ -245,15 +345,19 @@ class OmegaOracle:
         return beta, table
 
     def _block_coords(self, terms, block):
-        vec = [0] * len(block.domain)
-        for mono, c in terms:
-            vec[block.index[mono]] = c
-        return _kernel_coords(block, vec)
+        return _kernel_coords(block, {block.index[mono]: c for mono, c in terms})
 
     def _induced_phi(self):
+        """For each block beta and prime p <= N / weight, the coordinates in
+        block p*beta of gamma_p of each kernel row.  A view relabels beta and
+        p*beta alike, so it takes its canonical block's table as it stands."""
         tables = {}
         for beta, block in self.blocks.items():
             primes = primes_up_to(self.spec.truncation // block.weight)
+            if block.canonical != beta:
+                for p in primes:
+                    tables[(beta, p)] = tables[(block.canonical, p)]
+                continue
             row_elements = [self.kernel_element(beta, row) for row in block.kernel] if primes else []
             for p in primes:
                 target = self.blocks[tuple((gen, p * e) for gen, e in beta)]

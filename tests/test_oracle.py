@@ -21,14 +21,18 @@ from dpalg.dpcore import (
 from dpalg.kahler import omega_free_basis
 from dpalg.linalg import (
     cokernel_factors,
+    hermite_form,
     invariant_factor_chain,
     kernel_basis_mod,
     solve_in_lattice,
 )
+from dpalg import oracle as oracle_module
 from dpalg.oracle import (
     OmegaOracle,
     _closed_form_rep,
+    _kernel_coords,
     coproduct,
+    exponent_class,
     fold_degree,
     fold_kernel,
     factor_pairs,
@@ -400,7 +404,10 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
         # its blocks' kernels, each row padded out with zeros.
         padded = []
         for beta, block in blocks:
-            assert all(fold_degree(m, rank) == beta for m in block.domain)
+            # A canonical block lists its monomials in the coproduct's order;
+            # a view lists them in its canonical block's order, relabeled.
+            members = [m for m in domain if fold_degree(m, rank) == beta]
+            assert (block.domain if block.canonical == beta else sorted(block.domain, key=index.get)) == members
             for row in block.kernel:
                 full = [0] * len(domain)
                 for m, c in zip(block.domain, row):
@@ -448,8 +455,11 @@ def test_block_rows_match_products_of_kernel_elements(rank, truncation, weights,
     # The reference multiplies the kernel rows as coproduct elements, over
     # unordered pairs of weights summing to w (lighter factor first), sends
     # each nonzero product to the block of its fold degree and solves it
-    # there; over Z/m the rows of m Z^B follow.  The oracle's rows must agree
-    # in content and in order.  An oracle whose product table dropped the
+    # there; over Z/m the rows of m Z^B follow.  A canonical block's rows
+    # must agree in content and in order.  A view shares the rows of its
+    # class's canonical block, in that block's product order, so it agrees
+    # as a multiset.  Every block's relations and factors are those of the
+    # reference's distinct rows.  An oracle whose product table dropped the
     # binomial (x'x' = 2 g2(x'), not g2(x')) fails here.
     spec = free_spec(ring, rank, truncation, weights=weights)
     oracle = OmegaOracle(spec)
@@ -477,8 +487,120 @@ def test_block_rows_match_products_of_kernel_elements(rank, truncation, weights,
             rows[beta] += [
                 solve_in_lattice(block.kernel, [ring.modulus * (i == j) for i in range(n)]) for j in range(n)
             ]
-        assert block.rows == rows[beta], beta
+        if block.canonical == beta:
+            assert block.rows == rows[beta], beta
+        else:
+            assert sorted(block.rows) == sorted(rows[beta]), beta
+        distinct = list(dict.fromkeys(map(tuple, rows[beta])))
+        assert block.relations == hermite_form(distinct, len(block.kernel)), beta
+        assert block.factors == cokernel_factors(len(block.kernel), distinct, ZZ), beta
     assert products > 0
+
+
+VIEW_SETTINGS = [
+    (4, 4, None, ZZ),
+    (4, 4, None, Ring(4)),
+    (3, 5, (1, 1, 2), ZZ),
+    (3, 5, (1, 1, 2), Ring(6)),
+    (4, 5, (1, 1, 2, 2), Ring(4)),
+    (4, 5, (1, 1, 2, 2), Ring(6)),
+]
+
+
+@pytest.mark.parametrize("rank, truncation, weights, ring", VIEW_SETTINGS)
+def test_class_views_match_directly_built_blocks(rank, truncation, weights, ring):
+    # Each view is built here as every block was before exponent classes:
+    # its fold row through dp_map_apply on its own domain, its kernel by
+    # kernel_basis_mod, its I^2 rows by solving the products of kernel
+    # elements that land in it, and its phi tables from divided_power of its
+    # own kernel elements.  All must equal what the view shares with its
+    # canonical block.
+    spec = free_spec(ring, rank, truncation, weights=weights)
+    oracle = OmegaOracle(spec)
+    co, modulus = oracle.coproduct, ring.modulus
+    images = [gamma_gen(spec, i % rank, 1) for i in range(2 * rank)]
+    views = {beta: block for beta, block in oracle.blocks.items() if block.canonical != beta}
+    assert views
+    kernels = {}
+    for beta, block in views.items():
+        assert exponent_class(beta, spec.weights)[0] == block.canonical
+        row = [coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), {beta: 0})[0] for m in block.domain]
+        kernels[beta] = kernel_basis_mod([row], len(block.domain), modulus)
+        assert block.matrix == [row], beta
+        assert block.kernel == kernels[beta], beta
+    elements = {w: [] for w in range(1, truncation)}
+    for beta, block in oracle.blocks.items():
+        if block.weight < truncation:
+            elements[block.weight] += [oracle.kernel_element(beta, row) for row in block.kernel]
+    rows = {beta: [] for beta in views}
+    for w in range(2, truncation + 1):
+        for u, v in factor_pairs(elements, w):
+            uv = u * v
+            beta = fold_degree(next(iter(uv.terms)), rank) if uv.terms else None
+            if beta in views:
+                rows[beta].append(solve_in_lattice(kernels[beta], coordinates(uv, views[beta].index)))
+    phi_rows = 0
+    for beta, block in views.items():
+        n = len(block.domain)
+        if modulus:
+            rows[beta] += [solve_in_lattice(kernels[beta], [modulus * (i == j) for i in range(n)]) for j in range(n)]
+        assert None not in rows[beta], beta
+        distinct = list(dict.fromkeys(map(tuple, rows[beta])))
+        assert block.relations == hermite_form(distinct, len(block.kernel)), beta
+        assert block.factors == cokernel_factors(len(block.kernel), distinct, ZZ), beta
+        for p in primes_up_to(truncation // block.weight):
+            target = tuple((gen, p * e) for gen, e in beta)
+            table = [
+                solve_in_lattice(
+                    kernels[target],
+                    coordinates(divided_power(p, oracle.kernel_element(beta, row)), views[target].index),
+                )
+                for row in kernels[beta]
+            ]
+            assert oracle.phi_tables[(beta, p)] == table, (beta, p)
+            phi_rows += len(table)
+    assert phi_rows > 0
+
+
+def test_exponent_class_orders_exponents_within_each_weight():
+    weights = (1, 2, 1, 2, 1)
+    # Weight 1 holds generators 0, 2, 4; weight 2 holds 1 and 3.
+    canonical, stands_for = exponent_class(((2, 3), (3, 1), (4, 3)), weights)
+    assert canonical == ((0, 3), (1, 1), (2, 3))
+    assert stands_for == [2, 3, 4, 1, 0]
+    assert exponent_class(canonical, weights) == (canonical, list(range(5)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
+def test_kernel_coords_are_the_projection(ring):
+    # On kernel vectors the projection returns the coordinates of the
+    # triangular solve; a vector off the kernel is refused.
+    _, blocks = fold_kernel(free_spec(ring, 3, 5, weights=(1, 1, 2)))
+    rng = random.Random(8)
+    for beta, block in blocks.items():
+        n = len(block.domain)
+        for _ in range(5):
+            coeffs = [rng.randint(-9, 9) for _ in block.kernel]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, block.kernel)) for j in range(n)]
+            assert _kernel_coords(block, dict(enumerate(vec))) == solve_in_lattice(block.kernel, vec), beta
+            vec[-1] += 1  # the fold row has coefficient 1 at y^beta
+            assert solve_in_lattice(block.kernel, vec) is None
+            with pytest.raises(ValueError, match="fold kernel"):
+                _kernel_coords(block, dict(enumerate(vec)))
+
+
+def test_fold_kernel_refuses_a_kernel_of_another_shape(monkeypatch):
+    # Twice the kernel spans a sublattice whose Hermite basis has pivots 2,
+    # so projection would misread it; fold_kernel must refuse it.
+    kernel_basis_mod = oracle_module.kernel_basis_mod
+
+    def doubled(rows, ncols, modulus):
+        return [[2 * x for x in row] for row in kernel_basis_mod(rows, ncols, modulus)]
+
+    monkeypatch.setattr(oracle_module, "kernel_basis_mod", doubled)
+    for ring in (ZZ, Ring(6)):
+        with pytest.raises(ValueError, match="fold kernel"):
+            fold_kernel(free_spec(ring, 2, 3))
 
 
 @pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
@@ -507,3 +629,9 @@ def test_indecomposable_orders_are_the_smith_form_of_each_block(rank, truncation
 def test_main_theorem_at_larger_settings(rank, truncation, ring):
     report = verify_main_theorem(free_spec(ring, rank, truncation))
     assert report.passed, report.summary()
+
+
+def test_main_theorem_at_rank4_n8():
+    report = verify_main_theorem(free_spec(ZZ, 4, 8))
+    assert report.passed, report.summary()
+    assert len(report.records) == 8618
