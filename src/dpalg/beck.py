@@ -50,6 +50,8 @@ class UModule:
     def __init__(self, spec, annihilators, a_action=None, phi_action=None):
         self.spec = spec
         self.annihilators = tuple(annihilators)
+        if any(d < 0 for d in self.annihilators):
+            raise ValueError(f"annihilators {self.annihilators} must be >= 0 (0 = free)")
         self.moduli = tuple(spec.ring.effective_annihilator(d) for d in self.annihilators)
         self.a_action = dict(a_action or {})
         self.phi_action = dict(phi_action or {})

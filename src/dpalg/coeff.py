@@ -73,16 +73,14 @@ def gcd_middle_binomials(n):
 def cartan_congruence_residue(k, p):
     """(kp)!/(k!*(p!)^k) mod p, evaluated exactly over Z first.
 
-    The quotient is the coefficient relating gamma_{kp} and gamma_k gamma_p;
-    its residue is 1 for every prime p and k >= 1.
+    The quotient is ``gamma_compose_coeff(k, p)``, relating gamma_{kp} and
+    gamma_k gamma_p; its residue is 1 for every prime p and k >= 1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("need k >= 1")
-    quotient, remainder = divmod(factorial(k * p), factorial(k) * factorial(p) ** k)
-    assert remainder == 0
-    return quotient % p
+    return gamma_compose_coeff(k, p) % p
 
 
 def is_prime(n):

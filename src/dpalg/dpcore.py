@@ -10,10 +10,11 @@ truncation N quotients by the ideal of weight > N, so every operation is
 finite; products and divided powers never lower weight, which makes dropping
 overweight terms sound.  ``divided_powers(n, a)`` returns gamma_1(a) ...
 gamma_n(a) at once by the exponential law gamma_k(a + b) = sum_{i+j=k}
-gamma_i(a) gamma_j(b), and ``divided_power`` is its last entry.  An element
-keeps the longest sequence computed for it: a request for a lower index reads
-it, and a higher one recomputes and replaces it.  Elements are never changed
-after construction, so the kept sequence cannot go stale.
+gamma_i(a) gamma_j(b), and ``divided_power`` is its last entry; indices past
+N // (least term weight) are zero and not computed.  An element keeps the
+longest sequence computed for it: a shorter request reads it, and a longer
+one recomputes and replaces it.  Elements are never changed after
+construction, so the kept sequence cannot go stale.
 
 >>> spec = AlgebraSpec(ZZ, (1, 1), 8)
 >>> x, y = gamma_gen(spec, 0, 1), gamma_gen(spec, 1, 1)
@@ -270,33 +271,36 @@ def gamma_gen(spec, gen, n):
 def divided_powers(n, element):
     """[gamma_1(a), ..., gamma_n(a)] in one pass, by the exponential law.
 
-    ``a`` keeps, in ``_gammas``, the longest sequence computed for it (equality
-    and hashing ignore it): a request up to its length gets a copy of its
-    first n entries, and a longer one recomputes and replaces it.
+    A term of gamma_k(a) weighs at least k times the least term weight of
+    ``a``, so entries past ``live`` = min(n, N // least) (0 for zero) are zero
+    and not computed.  ``a`` keeps, in ``_gammas``, the longest sequence
+    computed for it (equality and hashing ignore it), which answers any
+    request once it reaches ``live``; a shorter one is recomputed and replaced.
 
     gamma_k(a + b) = sum_{i+j=k} gamma_i(a) gamma_j(b) makes the sequence of
     a sum the truncated product of its terms' sequences.  A term c*m with
     m = prod gamma_{e_i}(x_i) has gamma_j(c m) = g_j prod gamma_{j e_i}(x_i),
     where g_j = g_{j-1} * c * prod C(j e_i, e_i) / j, both sides being
     c^j m^j / j!.  One dict per index absorbs the terms of ``a`` one at a
-    time; it is updated from index n down, so that seq[k - j] still holds
+    time; it is updated from index live down, so that seq[k - j] still holds
     the earlier terms only.  Those reach index ``reach`` at most (the sum of
     their ``top``s), so j starts at k - reach.  Weights are cut at N as terms
     are merged.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
-    kept = getattr(element, "_gammas", ())
-    if len(kept) >= n:
-        return kept[:n]
     spec = element.spec
     cap = spec.truncation
-    seq = [{} for _ in range(n + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
+    live = min(n, cap // min(map(spec.monomial_weight, element.terms), default=cap + 1))
+    kept = getattr(element, "_gammas", [])
+    if len(kept) >= live:
+        return kept[:n] + [zero(spec)] * (n - len(kept))
+    seq = [{} for _ in range(live + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
     weight = {}
     reach = 0  # seq[k] is empty for every k > reach
     for mono, c in element.terms.items():
         w = spec.monomial_weight(mono)
-        top = min(n, cap // w)
+        top = min(live, cap // w)
         gammas = [None]
         g = 1
         for j in range(1, top + 1):
@@ -304,7 +308,7 @@ def divided_powers(n, element):
                 g *= comb(j * e, e)
             g = g // j * c
             gammas.append((g, tuple((gen, j * e) for gen, e in mono), j * w))
-        for k in range(n, 0, -1):
+        for k in range(live, 0, -1):
             out = seq[k]
             for j in range(max(1, k - reach), min(k - 1, top) + 1):
                 gcoeff, gmono, gweight = gammas[j]
@@ -319,13 +323,13 @@ def divided_powers(n, element):
                 gcoeff, gmono, gweight = gammas[k]
                 weight[gmono] = gweight
                 out[gmono] = out.get(gmono, 0) + gcoeff
-        reach = min(n, reach + top)
+        reach = min(live, reach + top)
     normalize = spec.ring.normalize
     element._gammas = [
         DPElement._raw(spec, {m: r for m, c in terms.items() if (r := normalize(c))})
         for terms in seq[1:]
     ]
-    return element._gammas[:]
+    return element._gammas + [zero(spec)] * (n - live)
 
 
 def divided_power(n, element):

@@ -16,12 +16,12 @@ class is built (``exponent_class``); every other block is a view of it, with
 the relabeled domain in the same order, sharing its fold row, kernel, I^2
 rows, relations and factors.  The kernel of a block's one-row fold map has
 the Hermite basis e_i + t_i e_last, plus m e_last over Z/m, checked once per
-class, so kernel coordinates are read off by projection.  A product of
-kernel rows from blocks beta1 and beta2 is written straight into the
-coordinates of block beta1 + beta2, through a table of that block pair's
-monomial products, and only when that block is canonical.  A/A^2
-splits into one-column blocks, one per monomial, each cyclic of order the
-gcd of the modulus and the coefficients landing on it.  The fold map is the
+class, so kernel coordinates are read off by projection.  A canonical block
+beta builds its I^2 rows from its halves beta1 + beta2 = beta (``halves``):
+each product of kernel rows of blocks beta1 and beta2 is written straight
+into beta's coordinates through a table of that half's monomial products.
+A/A^2 splits into one-column blocks, one per monomial, each cyclic of order
+the gcd of the modulus and the coefficients landing on it.  The fold map is the
 only DP map evaluated generically (``dp_map_apply``); the coproduct
 inclusions send generators to distinct generators, so they just renumber
 each monomial, and ``cokernel_factors`` runs Smith only on the
@@ -47,6 +47,7 @@ from .dpcore import (
     from_terms,
     gamma_gen,
     mono_mul,
+    monomial_sort_key,
     position_index,
     zero as algebra_zero,
 )
@@ -131,12 +132,32 @@ def fold_degree(mono, k):
 
 
 def factor_pairs(groups, w):
-    """Unordered pairs (u, v) from ``groups`` (weight -> items) whose weights
-    sum to w, lighter factor first: the products u * v span the weight-w part
-    of I^2 (kernel rows) and of A^2 (basis monomials)."""
+    """Unordered pairs (x, y) from ``groups`` (weight -> items) whose weights
+    sum to w, lighter factor first: over basis monomials, the products x * y
+    span the weight-w part of A^2."""
     for w1 in range(1, w // 2 + 1):
         left, right = groups[w1], groups[w - w1]
         yield from combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right)
+
+
+def halves(spec, beta):
+    """The halves of beta: its splits beta1 + beta2 into nonzero monomials,
+    each once, as (beta1, beta2) with beta1 first under ``monomial_sort_key``,
+    in that order of beta1.  Block beta of I^2 is spanned by the products of
+    the kernel rows of blocks beta1 and beta2 over beta's halves.
+
+    >>> from dpalg import free_spec
+    >>> halves(free_spec(ZZ, 2, 3), ((0, 2), (1, 1)))
+    [(((0, 1),), ((0, 1), (1, 1))), (((1, 1),), ((0, 2),))]
+    """
+    found = []
+    for split in product(*(range(e + 1) for _, e in beta)):
+        beta1 = tuple((g, a) for (g, _), a in zip(beta, split) if a)
+        beta2 = tuple((g, e - a) for (g, e), a in zip(beta, split) if a < e)
+        key = monomial_sort_key(spec, beta1)
+        if beta1 and beta2 and key <= monomial_sort_key(spec, beta2):
+            found.append((key, beta1, beta2))
+    return [(beta1, beta2) for _, beta1, beta2 in sorted(found)]
 
 
 @dataclass
@@ -273,76 +294,45 @@ class OmegaOracle:
         self.spec = spec
         self.coproduct, self.blocks = fold_kernel(spec)
         normalize, modulus = spec.ring.normalize, spec.ring.modulus
-        # Each kernel row of weight below N (only those enter a product of
-        # two kernel elements), tagged with its block, as its nonzero
-        # (domain index, coefficient) pairs, made once per class.  A row in
-        # m Z^B has none, and only zero products, so it is left out.
-        by_weight = {w: [] for w in range(1, spec.truncation)}
-        sparse = {}
-        for beta, block in self.blocks.items():
-            if block.weight < spec.truncation:
-                if block.canonical not in sparse:
-                    nonzero = ([(a, c) for a, c in enumerate(map(normalize, row)) if c] for row in block.kernel)
-                    sparse[block.canonical] = [pairs for pairs in nonzero if pairs]
-                by_weight[block.weight] += [(beta, pairs) for pairs in sparse[block.canonical]]
-        # u * v for kernel rows u, v in blocks beta1, beta2, written straight
-        # into the coordinates of block beta1 + beta2 through the table of
-        # that block pair, built on its first use.  A view's rows are its
-        # canonical block's, so a pair landing in a view is skipped.
-        rows = {beta: [] for beta, block in self.blocks.items() if block.canonical == beta}
-        tables = {}
-        for w in range(2, spec.truncation + 1):
-            for (beta1, u), (beta2, v) in factor_pairs(by_weight, w):
-                if (beta1, beta2) not in tables:
-                    tables[beta1, beta2] = self._product_table(beta1, beta2)
-                if tables[beta1, beta2] is None:
-                    continue
-                beta, table = tables[beta1, beta2]
-                total = {}
-                for a, c in u:
-                    line = table[a]
-                    for b, d in v:
-                        i, binom = line[b]
-                        total[i] = total.get(i, 0) + c * d * binom
-                if entries := {i: x for i, c in total.items() if (x := normalize(c))}:
-                    rows[beta].append(_kernel_coords(self.blocks[beta], entries))
+        sparse = {}  # canonical block -> its kernel rows as nonzero (domain index, coefficient) pairs
         for beta, block in self.blocks.items():
             if block.canonical != beta:  # its canonical block came first
                 rep = self.blocks[block.canonical]
                 block.rows, block.relations, block.factors = rep.rows, rep.relations, rep.factors
                 continue
-            if modulus:  # m Z^B sits inside the lifted kernel; quotient by it too.
-                # m e_j is m (e_j + t_j e_last) - t_j (m e_last), and m e_last
-                # is the last kernel row.
+            # A row in m Z^B has no nonzero pair, and only zero products, so it is left out.
+            nonzero = ([(a, c) for a, c in enumerate(map(normalize, row)) if c] for row in block.kernel)
+            sparse[beta] = [pairs for pairs in nonzero if pairs]
+            # u * v for kernel rows u, v of a half (beta1, beta2), written into
+            # this block's coordinates through the half's table: per pair of
+            # domain positions, their product's position and binomial.
+            block.rows = []
+            for beta1, beta2 in halves(spec, beta):
+                left, right = self.blocks[beta1], self.blocks[beta2]
+                products = ((mono_mul(x, y) for y in right.domain) for x in left.domain)
+                table = [[(block.index[m], c) for c, m in ys] for ys in products]
+                us, vs = sparse[left.canonical], sparse[right.canonical]
+                for u, v in combinations_with_replacement(us, 2) if beta1 == beta2 else product(us, vs):
+                    total = {}
+                    for a, c in u:
+                        line = table[a]
+                        for b, d in v:
+                            i, binom = line[b]
+                            total[i] = total.get(i, 0) + c * d * binom
+                    if entries := {i: x for i, c in total.items() if (x := normalize(c))}:
+                        block.rows.append(_kernel_coords(block, entries))
+            if modulus:  # m Z^B lies in the lifted kernel; quotient by it too:
+                # m e_j = m (e_j + t_j e_last) - t_j (m e_last), m e_last the last row.
                 end = len(block.domain) - 1
                 for j, t in enumerate(block.last[:end]):
-                    rows[beta].append([modulus * (i == j) for i in range(end)] + [-t])
-                rows[beta].append([0] * end + [1])
+                    block.rows.append([modulus * (i == j) for i in range(end)] + [-t])
+                block.rows.append([0] * end + [1])
             # One reduction per class: the factors, class tests and the
             # surjectivity check all start from this HNF.  Most product rows
             # repeat, and a repeat adds nothing to the lattice.
-            block.rows = rows[beta]
             block.relations = hermite_form(list(dict.fromkeys(map(tuple, block.rows))), len(block.kernel))
             block.factors = cokernel_factors(len(block.kernel), block.relations, ZZ)
         self.phi_tables = self._induced_phi()
-
-    def _product_table(self, beta1, beta2):
-        """Block beta1 + beta2, and for each pair (a, b) of domain positions of
-        beta1 and beta2 the position of their monomials' product in that
-        block's domain and its binomial coefficient; None if that block is a
-        view."""
-        beta = mono_mul(beta1, beta2)[1]
-        if self.blocks[beta].canonical != beta:
-            return None
-        index = self.blocks[beta].index
-        table = []
-        for x in self.blocks[beta1].domain:
-            line = []
-            for y in self.blocks[beta2].domain:
-                binom, mono = mono_mul(x, y)
-                line.append((index[mono], binom))
-            table.append(line)
-        return beta, table
 
     def _block_coords(self, terms, block):
         return _kernel_coords(block, {block.index[mono]: c for mono, c in terms})

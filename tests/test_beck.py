@@ -273,6 +273,13 @@ def test_tables_must_be_rank_by_rank():
         UModule(SPEC, (0, 0), phi_action={2: [[0], [1]]})
 
 
+def test_annihilators_must_be_nonnegative():
+    with pytest.raises(ValueError, match="must be >= 0"):
+        UModule(free_spec(ZZ, 1, 4), (-3, 1))
+    with pytest.raises(ValueError, match="must be >= 0"):
+        UModule(free_spec(Ring(6), 1, 4), (0, -2))
+
+
 def test_a_action_keys_must_be_basis_monomials():
     for key in (((0, 7),), ((1, 1),), ()):
         with pytest.raises(ValueError, match=re.escape(f"a_action key {key}")):

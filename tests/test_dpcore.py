@@ -252,6 +252,22 @@ def test_coordinates():
     assert coordinates(a, position_index(basis)) == [1, 1, 1]
 
 
+def test_divided_powers_compute_only_indices_that_can_be_nonzero():
+    # At N = 4, gamma_k(x1) is zero for k > 4: a request for 10 computes and
+    # keeps 4 entries and pads with zeros, and a longer request reads the
+    # kept entries instead of recomputing them.  Zero computes nothing.
+    spec = free_spec(ZZ, 1, 4)
+    x = gamma_gen(spec, 0, 1)
+    first = divided_powers(10, x)
+    assert len(x._gammas) == 4
+    assert [str(g) for g in first] == ["x1", "g2(x1)", "g3(x1)", "g4(x1)"] + ["0"] * 6
+    later = divided_powers(12, x)
+    assert len(later) == 12 and all(a is b for a, b in zip(first[:4], later))
+    assert all(g.is_zero() for g in later[4:])
+    nothing = zero(spec)
+    assert divided_powers(5, nothing) == [zero(spec)] * 5 and not hasattr(nothing, "_gammas")
+
+
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
 @pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=str)
 def test_kept_divided_powers_match_a_fresh_element(ring, weights):

@@ -446,7 +446,7 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
         assert oracle.to_kernel_coords(u + v) == {**oracle.to_kernel_coords(u), **oracle.to_kernel_coords(v)}
 
 
-BLOCK_SETTINGS = [(1, 8, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2))]
+BLOCK_SETTINGS = [(1, 8, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2)), (4, 5, None), (3, 6, (1, 1, 2))]
 
 
 @pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
@@ -635,3 +635,9 @@ def test_main_theorem_at_rank4_n8():
     report = verify_main_theorem(free_spec(ZZ, 4, 8))
     assert report.passed, report.summary()
     assert len(report.records) == 8618
+
+
+def test_main_theorem_at_rank3_n10():
+    report = verify_main_theorem(free_spec(ZZ, 3, 10))
+    assert report.passed, report.summary()
+    assert len(report.records) == 5787
