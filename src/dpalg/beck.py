@@ -34,6 +34,11 @@ from .report import CheckReport
 RANDOM_VEC_BOUND = 9  # random_vec draws each coordinate from -9..9
 
 
+def _nonzero(vec):
+    """The nonzero (index, value) pairs of a vector."""
+    return [(j, v) for j, v in enumerate(vec) if v]
+
+
 def _image(columns, pairs, out=None):
     """Add into ``out`` the unreduced image {target: value}, under the table with
     ``columns``, of the vector whose nonzero (source, value) pairs are ``pairs``."""
@@ -53,6 +58,7 @@ class UModule:
         if any(d < 0 for d in self.annihilators):
             raise ValueError(f"annihilators {self.annihilators} must be >= 0 (0 = free)")
         self.moduli = tuple(spec.ring.effective_annihilator(d) for d in self.annihilators)
+        self._torsion = tuple((i, d) for i, d in enumerate(self.moduli) if d)
         self.a_action = dict(a_action or {})
         self.phi_action = dict(phi_action or {})
         monomials = set(basis_up_to(spec)) if self.a_action else set()
@@ -76,41 +82,47 @@ class UModule:
     def rank(self):
         return len(self.annihilators)
 
+    def _reduced(self, vec):
+        """``vec``, a fresh list, with its torsion coordinates reduced, as a tuple."""
+        for i, d in self._torsion:
+            vec[i] %= d
+        return tuple(vec)
+
     def reduce(self, vec):
-        return tuple(v % d if d else v for v, d in zip(vec, self.moduli))
+        return self._reduced(list(vec))
 
     def zero_vec(self):
         return (0,) * self.rank
 
-    def unit_vec(self, i):
-        return self.reduce(tuple(int(j == i) for j in range(self.rank)))
-
     def add_vec(self, x, y):
-        return self.reduce(tuple(a + b for a, b in zip(x, y)))
+        return self._reduced([a + b for a, b in zip(x, y)])
 
     def scale_vec(self, c, x):
-        return self.reduce(tuple(c * a for a in x))
+        return self._reduced([c * a for a in x])
 
     def _vector(self, image):
-        vec = [0] * self.rank
+        """The reduced vector of an unreduced image {index: value}."""
+        moduli = self.moduli
+        vec = [0] * len(moduli)
         for i, v in image.items():
-            vec[i] = v % self.moduli[i] if self.moduli[i] else v
+            d = moduli[i]
+            vec[i] = v % d if d else v
         return tuple(vec)
 
     def _vanishes(self, image):
         moduli = self.moduli
         return all(not (v % moduli[i] if moduli[i] else v) for i, v in image.items())
 
-    def _act_image(self, a, vec, image):
-        """Add into ``image`` the unreduced image of ``vec`` under the action of ``a``."""
-        pairs = [(j, v) for j, v in enumerate(vec) if v]
+    def _act_image(self, a, pairs, image):
+        """Add into ``image`` the unreduced image, under the action of ``a``, of
+        the vector whose nonzero pairs are ``pairs``."""
         for mono, c in a.terms.items():
             if mono in self._a_columns:
                 _image(self._a_columns[mono], [(j, c * v) for j, v in pairs], image)
         return image
 
     def act(self, a, vec):
-        return self._vector(self._act_image(a, vec, {}))
+        return self._vector(self._act_image(a, _nonzero(vec), {}))
 
     def phi_p(self, p, vec):
         columns = self._phi_columns.get(p)
@@ -206,22 +218,33 @@ class SemidirectElement:
         self.a = a
         self.x = module.reduce(x)
 
+    @classmethod
+    def _raw(cls, module, a, x):
+        """An element whose ``x`` is already reduced: every operation reduces once."""
+        el = object.__new__(cls)
+        el.module = module
+        el.a = a
+        el.x = x
+        return el
+
     def _require_same(self, other):
         if self.module is not other.module:
             raise ValueError("elements live over different modules")
 
     def __add__(self, other):
         self._require_same(other)
-        return SemidirectElement(self.module, self.a + other.a, self.module.add_vec(self.x, other.x))
+        return self._raw(self.module, self.a + other.a, self.module.add_vec(self.x, other.x))
 
     def scale(self, c):
-        return SemidirectElement(self.module, self.a.scale(c), self.module.scale_vec(c, self.x))
+        return self._raw(self.module, self.a.scale(c), self.module.scale_vec(c, self.x))
 
     def __mul__(self, other):
+        """(a, x)(b, y) = (ab, ay + bx), the cross term summed unreduced and reduced once."""
         self._require_same(other)
         mod = self.module
-        cross = mod.add_vec(mod.act(self.a, other.x), mod.act(other.a, self.x))
-        return SemidirectElement(mod, self.a * other.a, cross)
+        cross = mod._act_image(self.a, _nonzero(other.x), {})
+        mod._act_image(other.a, _nonzero(self.x), cross)
+        return self._raw(mod, self.a * other.a, mod._vector(cross))
 
     def __eq__(self, other):
         return (
@@ -245,9 +268,9 @@ def semidirect_gamma(n, u):
     builds it from gamma_1(a) ... gamma_n(a) and each phi_j(x) computed once
     (phi_{p^e} as phi_p of phi_{p^(e-1)}, zero unless j is 1 or a prime
     power): v_k = phi_k(x) + sum_{j<k} gamma_{k-j}(a) phi_j(x), reduced once.
-    Only nonzero phi_j(x) are kept (phi_p is additive, so phi_{p^e}(x) = 0
-    once phi_{p^(e-1)}(x) = 0), and a term whose gamma_{k-j}(a) is zero is
-    skipped.
+    Only nonzero phi_j(x) are kept, as their nonzero pairs (phi_p is
+    additive, so phi_{p^e}(x) = 0 once phi_{p^(e-1)}(x) = 0), and a term
+    whose gamma_{k-j}(a) is zero is skipped.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
@@ -262,13 +285,14 @@ def semidirect_gamma(n, u):
             if (phi := phi_of(j)) is not None and j // phi[0] in phis:
                 if any(image := mod.phi_p(phi[0], phis[j // phi[0]])):
                     phis[j] = image
+        pairs = {j: _nonzero(x) for j, x in phis.items()}
         kept = [u]
         for k in range(2, n + 1):
-            image = dict(enumerate(phis.get(k, ())))
-            for j, x in phis.items():
+            image = dict(pairs.get(k, ()))
+            for j, nonzero in pairs.items():
                 if j < k and gammas[k - j - 1].terms:
-                    mod._act_image(gammas[k - j - 1], x, image)
-            kept.append(SemidirectElement(mod, gammas[k - 1], mod._vector(image)))
+                    mod._act_image(gammas[k - j - 1], nonzero, image)
+            kept.append(SemidirectElement._raw(mod, gammas[k - 1], mod._vector(image)))
         u._gammas = kept
     return kept[n - 1]
 

@@ -138,7 +138,7 @@ class SparseElement:
         return not self.terms
 
     def _require_same(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("elements live in different algebras")
 
     def __add__(self, other):
@@ -170,7 +170,11 @@ class SparseElement:
         return self._raw(self.spec, out)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.spec == other.spec and self.terms == other.terms
+        return (
+            type(other) is type(self)
+            and (self.spec is other.spec or self.spec == other.spec)
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
         return hash((self.spec, frozenset(self.terms.items())))
@@ -430,7 +434,8 @@ def dp_axiom_report(ring, sample, gamma, samples, seed, max_index=5, title=None)
     ``sample(rng)`` draws an element and ``gamma(n, a)`` is the divided power;
     elements support ``+``, ``*``, ``.scale`` and ``str``.  So the same suite
     runs on algebra elements, on semidirect extensions A (+) M and on direct
-    products.
+    products.  Each check gets its sample's context as a callable, so the
+    elements are formatted only for a failing check.
     """
     import random
 
@@ -449,7 +454,9 @@ def dp_axiom_report(ring, sample, gamma, samples, seed, max_index=5, title=None)
         r = ring.normalize(rng.randint(-9, 9))
         n = rng.randint(1, max_index)
         m = rng.randint(1, max_index)
-        ctx = f"a={a}, b={b}, r={r}, n={n}, m={m}"
+
+        def ctx():
+            return f"a={a}, b={b}, r={r}, n={n}, m={m}"
 
         report.check("gamma_1 = id", gamma(1, a), a, ctx)
 

@@ -477,7 +477,7 @@ def verify_main_theorem(spec):
                     f"comparison map well-defined (w={w})",
                     oracle.in_relations(scaled),
                     True,
-                    context=str(entry),
+                    context=entry.__str__,
                 )
         surjective = all(
             spans_full_lattice([*images.get(beta, []), *block.relations], len(block.kernel))
@@ -515,7 +515,7 @@ def verify_main_theorem(spec):
                     f"phi_{p} kills A_+-multiples and foreign primes (w={w})",
                     oracle.in_relations(oracle.phi_coords(p, coords)),
                     True,
-                    context=str(entry),
+                    context=entry.__str__,
                 )
 
     # The derivation laws for a -> [in_2(a) - in_1(a)] itself.

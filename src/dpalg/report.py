@@ -25,10 +25,17 @@ class CheckReport:
         self.records.append(CheckRecord(law, passed, counterexample))
 
     def check(self, law, lhs, rhs, context=""):
-        """Record equality of two values under ``law``; keeps the first failure."""
+        """Record equality of two values under ``law``; keeps the first failure.
+
+        ``context`` is a string or a zero-argument callable returning one; a
+        callable is called only when the check fails, so a passing check
+        builds no counterexample text.
+        """
         if lhs == rhs:
             self.record(law, True)
         else:
+            if callable(context):
+                context = context()
             detail = f"{context}: {lhs} != {rhs}" if context else f"{lhs} != {rhs}"
             self.record(law, False, detail)
 

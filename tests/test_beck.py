@@ -58,7 +58,7 @@ def test_semidirect_mul_formula():
 def test_semidirect_square_example():
     m = mixed_torsion_module(SPEC)
     x = gamma_gen(SPEC, 0, 1)
-    e1 = m.unit_vec(0)
+    e1 = (1, 0, 0)  # the generator of the free summand
     u = SemidirectElement(m, x, e1)
     square = u * u
     assert square.a == divided_power(2, x).scale(2)

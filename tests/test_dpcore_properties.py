@@ -10,8 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dpalg.coeff import Ring, ZZ
-from dpalg.dpcore import DPElement, basis_up_to, divided_powers, free_spec
+from dpalg.coeff import Ring, ZZ, gamma_compose_coeff
+from dpalg.dpcore import DPElement, basis_up_to, divided_power, divided_powers, free_spec
 
 
 @st.composite
@@ -39,3 +39,18 @@ def test_exponential_law_and_product_rule(pair, n):
         for j in range(1, n - i + 1):
             product = gamma_a[i - 1] * gamma_a[j - 1]
             assert product == gamma_a[i + j - 1].scale(comb(i + j, i)), f"gamma_{i} gamma_{j}"
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(element_pairs(), st.integers(-9, 9), st.integers(1, 6), st.integers(1, 6))
+def test_scalar_product_and_composition_laws(pair, r, n, m):
+    a, b = pair
+    ring = a.spec.ring
+    r = ring.normalize(r)
+    power = a
+    for _ in range(n - 1):
+        power = power * a
+    assert divided_power(n, a * b) == power * divided_power(n, b), "gamma_n(ab)"
+    assert divided_power(n, b.scale(r)) == divided_power(n, b).scale(ring.pow(r, n)), "gamma_n(rb)"
+    coeff = ring.normalize(gamma_compose_coeff(m, n))
+    assert divided_power(m, divided_power(n, a)) == divided_power(m * n, a).scale(coeff), "gamma_m(gamma_n)"
