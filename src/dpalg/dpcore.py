@@ -418,11 +418,13 @@ def dp_map_apply(images, element):
 
 def random_element(spec, rng, max_terms=3):
     """A small random element; term monomials drawn uniformly per weight,
-    coefficients from -9..9."""
+    coefficients from -9..9.  A weight with no monomial (weights (2, 3) have
+    none of weight 1) is drawn again."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        w = rng.randint(1, spec.truncation)
-        mono = rng.choice(basis_of_weight(spec, w))
+        while not (monomials := basis_of_weight(spec, rng.randint(1, spec.truncation))):
+            pass
+        mono = rng.choice(monomials)
         c = rng.randint(-9, 9)
         terms[mono] = terms.get(mono, 0) + c
     return DPElement(spec, terms)

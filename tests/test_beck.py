@@ -26,7 +26,7 @@ from dpalg.dpcore import (
     random_element,
     zero,
 )
-from dpalg.kahler import omega_as_umodule
+from dpalg.kahler import is_dp_derivation, omega_as_umodule, universal_derivation_table
 from dpalg.suites import beck_module_zoo
 
 SPEC = free_spec(ZZ, 1, 6)
@@ -290,3 +290,15 @@ def test_phi_action_keys_must_be_prime():
     for key in (4, 1, 6):
         with pytest.raises(ValueError, match=f"phi_action key {key} is not a prime"):
             UModule(SPEC, (2,), phi_action={key: [[1]]})
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(6)], ids=["Z", "Z/6"])
+@pytest.mark.parametrize("weights", [(2, 3), (3, 2)])
+def test_verifiers_sample_algebras_with_an_empty_weight(weights, ring):
+    # No monomial has weight 1, so a sampler that draws the weight first
+    # must draw again rather than pick from an empty basis.
+    spec = free_spec(ring, 2, 6, weights=weights)
+    report = verify_beck_axioms(trivial_module(spec, (0, 2)))
+    assert report.passed, report.summary()
+    report = is_dp_derivation(universal_derivation_table(spec), omega_as_umodule(spec))
+    assert report.passed, report.summary()
