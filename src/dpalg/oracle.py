@@ -14,21 +14,24 @@ beta: permuting generators of equal weight, on both coproduct copies, maps
 one block onto another.  So only the canonical block of each such exponent
 class is built (``exponent_class``); every other block is a view of it, with
 the relabeled domain in the same order, sharing its fold row, kernel, I^2
-rows, relations and factors.  The kernel of a block's one-row fold map has
-the Hermite basis e_i + t_i e_last, plus m e_last over Z/m, checked once per
-class, so kernel coordinates are read off by projection.  A canonical block
-beta builds its I^2 rows from its halves beta1 + beta2 = beta (``halves``):
-each product of kernel rows of blocks beta1 and beta2 is written straight
-into beta's coordinates through a table of that half's monomial products.
-A/A^2 splits into one-column blocks, one per monomial, each cyclic of order
-the gcd of the modulus and the coefficients landing on it.  The fold map is the
-only DP map evaluated generically (``dp_map_apply``); the coproduct
-inclusions send generators to distinct generators, so they just renumber
-each monomial, and ``cokernel_factors`` runs Smith only on the
-non-unit-pivot core of the relation HNF.  The comparison maps into the
-closed-form module go through explicit representatives, so the
-divided-power structure is exercised on actual elements rather than
-formulas.
+rows, relations, factors and phi tables.  The kernel of a block's one-row
+fold map has the Hermite basis e_i + t_i e_last, plus m e_last over Z/m,
+checked once per class, so kernel coordinates are read off by projection.
+An element of I that the verifiers read lies in one block, so its kernel
+coordinates are a pair (beta, coordinates over block beta's kernel basis).
+A canonical block beta builds its I^2 rows from its halves beta1 + beta2 =
+beta (``halves``): each product of kernel rows of blocks beta1 and beta2 is
+written straight into beta's coordinates through a table of that half's
+monomial products.  In the same pass it builds its gamma_p tables into
+block p*beta, which is canonical too.  A/A^2 splits into one-column blocks, one per monomial m,
+each cyclic of order the gcd of the modulus and the binomials of the
+products over m's halves.  The fold map is the only DP map evaluated
+generically (``dp_map_apply``); the coproduct inclusions send generators to
+distinct generators, so they just renumber each monomial, and
+``cokernel_factors`` runs Smith only on the non-unit-pivot core of the
+relation HNF.  The comparison maps into the closed-form module go through
+explicit representatives, so the divided-power structure is exercised on
+actual elements rather than formulas.
 """
 
 from dataclasses import dataclass
@@ -131,20 +134,12 @@ def fold_degree(mono, k):
     return tuple(sorted(degree.items()))
 
 
-def factor_pairs(groups, w):
-    """Unordered pairs (x, y) from ``groups`` (weight -> items) whose weights
-    sum to w, lighter factor first: over basis monomials, the products x * y
-    span the weight-w part of A^2."""
-    for w1 in range(1, w // 2 + 1):
-        left, right = groups[w1], groups[w - w1]
-        yield from combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right)
-
-
 def halves(spec, beta):
     """The halves of beta: its splits beta1 + beta2 into nonzero monomials,
     each once, as (beta1, beta2) with beta1 first under ``monomial_sort_key``,
     in that order of beta1.  Block beta of I^2 is spanned by the products of
-    the kernel rows of blocks beta1 and beta2 over beta's halves.
+    the kernel rows of blocks beta1 and beta2 over beta's halves, and block
+    beta of A^2 by the products beta1 * beta2 themselves.
 
     >>> from dpalg import free_spec
     >>> halves(free_spec(ZZ, 2, 3), ((0, 2), (1, 1)))
@@ -162,11 +157,12 @@ def halves(spec, beta):
 
 @dataclass
 class Block:
-    """The coproduct monomials folding onto one monomial of A, the fold map on
-    them (one row: the block has one target monomial), the HNF of its kernel
-    and that HNF's last column ``last``; ``OmegaOracle`` adds the I^2 rows in
-    kernel coordinates, their HNF ``relations`` and the invariant factors of
-    this block of I/I^2.
+    """The coproduct monomials folding onto one monomial beta of A, the fold
+    map on them (one row: the block has one target monomial), the HNF of its
+    kernel and that HNF's last column ``last``; ``OmegaOracle`` adds the I^2
+    rows in kernel coordinates, their HNF ``relations``, the invariant factors
+    of this block of I/I^2, and ``phi``: for each prime p <= N / weight, the
+    coordinates in block p*beta of gamma_p of each kernel row.
 
     ``canonical`` keys the block of this block's exponent class that was
     built.  A block that is not its own canonical block is a view: its
@@ -184,6 +180,7 @@ class Block:
     rows: list = None
     relations: list = None
     factors: tuple = None
+    phi: dict = None
 
 
 def exponent_class(beta, weights):
@@ -286,8 +283,8 @@ def _kernel_coords(block, entries):
 class OmegaOracle:
     """I/I^2 of the fold kernel, block by block, with induced phi_p tables.
 
-    Kernel coordinates of an element are a dict, block -> coordinates over
-    that block's kernel basis, with one entry per block the element meets.
+    Kernel coordinates of an element are a pair (beta, coordinates over block
+    beta's kernel basis): every element the verifiers read lies in one block.
     """
 
     def __init__(self, spec):
@@ -298,7 +295,8 @@ class OmegaOracle:
         for beta, block in self.blocks.items():
             if block.canonical != beta:  # its canonical block came first
                 rep = self.blocks[block.canonical]
-                block.rows, block.relations, block.factors = rep.rows, rep.relations, rep.factors
+                block.rows, block.relations = rep.rows, rep.relations
+                block.factors, block.phi = rep.factors, rep.phi
                 continue
             # A row in m Z^B has no nonzero pair, and only zero products, so it is left out.
             nonzero = ([(a, c) for a, c in enumerate(map(normalize, row)) if c] for row in block.kernel)
@@ -332,50 +330,33 @@ class OmegaOracle:
             # repeat, and a repeat adds nothing to the lattice.
             block.relations = hermite_form(list(dict.fromkeys(map(tuple, block.rows))), len(block.kernel))
             block.factors = cokernel_factors(len(block.kernel), block.relations, ZZ)
-        self.phi_tables = self._induced_phi()
-
-    def _block_coords(self, terms, block):
-        return _kernel_coords(block, {block.index[mono]: c for mono, c in terms})
-
-    def _induced_phi(self):
-        """For each block beta and prime p <= N / weight, the coordinates in
-        block p*beta of gamma_p of each kernel row.  A view relabels beta and
-        p*beta alike, so it takes its canonical block's table as it stands."""
-        tables = {}
-        for beta, block in self.blocks.items():
-            primes = primes_up_to(self.spec.truncation // block.weight)
-            if block.canonical != beta:
-                for p in primes:
-                    tables[(beta, p)] = tables[(block.canonical, p)]
-                continue
-            row_elements = [self.kernel_element(beta, row) for row in block.kernel] if primes else []
+            # gamma_p of each kernel row, read in block p*beta: canonical as
+            # beta is, and a view relabels beta and p*beta alike, so its
+            # canonical block's tables serve it as they stand.
+            primes = primes_up_to(spec.truncation // block.weight)
+            elements = [self.kernel_element(beta, row) for row in block.kernel] if primes else []
+            block.phi = {}
             for p in primes:
                 target = self.blocks[tuple((gen, p * e) for gen, e in beta)]
-                tables[(beta, p)] = [
-                    self._block_coords(divided_power(p, el).terms.items(), target)
-                    for el in row_elements
-                ]
-        return tables
+                gammas = (divided_power(p, el).terms.items() for el in elements)
+                block.phi[p] = [_kernel_coords(target, {target.index[m]: c for m, c in g}) for g in gammas]
 
     def factors(self, w):
         """Invariant factors of I/I^2 in weight w, merged over its blocks."""
         orders = [d for b in self.blocks.values() if b.weight == w for d in b.factors]
         return invariant_factor_chain(orders, ZZ)
 
-    def phi_coords(self, p, coords):
-        """Kernel coordinates of gamma_p of the class with kernel coordinates
-        ``coords``: block beta goes to block p*beta by sum c_k^p
-        phi_tables[(beta, p)][k], as gamma_p is p-semilinear on I modulo I^2
-        (its cross terms lie in I^2)."""
-        out = {}
-        for beta, part in coords.items():
-            target = tuple((gen, p * e) for gen, e in beta)
-            image = [0] * len(self.blocks[target].kernel)
-            for c, row in zip(part, self.phi_tables[(beta, p)]):
-                if c:
-                    image = [o + c**p * x for o, x in zip(image, row)]
-            out[target] = image
-        return out
+    def phi_coords(self, p, beta, coords):
+        """(p*beta, kernel coordinates of gamma_p of the class with kernel
+        coordinates ``coords`` in block beta): sum c_k^p phi[p][k] over the
+        block's tables, as gamma_p is p-semilinear on I modulo I^2 (its cross
+        terms lie in I^2)."""
+        target = tuple((gen, p * e) for gen, e in beta)
+        image = [0] * len(self.blocks[target].kernel)
+        for c, row in zip(coords, self.blocks[beta].phi[p]):
+            if c:
+                image = [o + c**p * x for o, x in zip(image, row)]
+        return target, image
 
     def kernel_element(self, beta, row):
         """The coproduct-algebra element with ambient coordinates ``row`` in block ``beta``."""
@@ -383,20 +364,25 @@ class OmegaOracle:
         return from_terms(self.coproduct.spec, terms)
 
     def to_kernel_coords(self, element):
-        """Kernel coordinates of ``element``, each block's part solved in that block."""
+        """(beta, kernel coordinates in block beta) of an element of I lying in
+        the one block beta; (None, []) for zero.  An element that meets two
+        blocks, or lies off the fold kernel, raises ``ValueError``."""
+        if not element.terms:
+            return None, []
         k = self.spec.generator_count
-        parts = {}
-        for term in element.terms.items():
-            parts.setdefault(fold_degree(term[0], k), []).append(term)
-        return {beta: self._block_coords(terms, self.blocks[beta]) for beta, terms in parts.items()}
+        beta = fold_degree(next(iter(element.terms)), k)
+        block = self.blocks[beta]
+        if stray := [m for m in element.terms if m not in block.index]:
+            raise ValueError(f"element meets blocks {beta} and {fold_degree(stray[0], k)}")
+        return beta, _kernel_coords(block, {block.index[m]: c for m, c in element.terms.items()})
 
-    def in_relations(self, coords):
-        """Whether kernel coordinates name the zero class: every block's part
-        lies in that block's I^2."""
-        return all(in_lattice(self.blocks[beta].relations, part) for beta, part in coords.items())
+    def in_relations(self, beta, coords):
+        """Whether kernel coordinates in block beta name the zero class: they
+        lie in the block's I^2 (beta None is zero)."""
+        return beta is None or in_lattice(self.blocks[beta].relations, coords)
 
     def class_is_zero(self, element):
-        return self.in_relations(self.to_kernel_coords(element))
+        return self.in_relations(*self.to_kernel_coords(element))
 
     def derivation_rep(self, a):
         return self.coproduct.include_right(a) - self.coproduct.include_left(a)
@@ -435,28 +421,21 @@ def _closed_form_rep(oracle, entry, phi_dx, d):
 def verify_main_theorem(spec):
     """Compare I/I^2 with the closed form U(A) (x) V, gradewise and exactly.
 
-    Each check reads the blocks of its elements, and a weight's records merge
-    its blocks; a representative, a product of homogeneous elements, lies in
-    one block.
+    A representative, a product of homogeneous elements, lies in one block,
+    so each check reads one block, and a weight's records merge its blocks.
+    A failed well-definedness, d or phi check names its block.
     """
     oracle = OmegaOracle(spec)
     closed = omega_free_basis(spec)
     ring = spec.ring
     report = CheckReport(f"main theorem at rank {spec.generator_count}, N={spec.truncation}, {ring}")
 
-    # d(m) = in_2(m) - in_1(m) and in_1(m) once per basis monomial, extended
-    # linearly to the products and divided powers the laws below take.
+    # d(m) = in_2(m) - in_1(m) and in_1(m) once per basis monomial.
     monomials = basis_up_to(spec)
     basis = {m: from_terms(spec, {m: 1}) for m in monomials}
     d = {m: oracle.derivation_rep(a) for m, a in basis.items()}
     in_1 = {m: oracle.coproduct.include_left(a) for m, a in basis.items()}
     coproduct_zero = algebra_zero(oracle.coproduct.spec)
-
-    def linear(images, element):
-        total = coproduct_zero
-        for m, c in element.terms.items():
-            total = total + images[m].scale(c)
-        return total
 
     phi_dx = {}
     phi_rows = {}
@@ -467,17 +446,15 @@ def verify_main_theorem(spec):
         phi_rows[w] = []
         images = {}  # block -> the comparison images in it
         for entry in closed[w]:
-            coords = oracle.to_kernel_coords(_closed_form_rep(oracle, entry, phi_dx, d))
-            phi_rows[w].append(coords)
-            for beta, part in coords.items():
-                images.setdefault(beta, []).append(part)
+            beta, coords = oracle.to_kernel_coords(_closed_form_rep(oracle, entry, phi_dx, d))
+            phi_rows[w].append((beta, coords))
+            images.setdefault(beta, []).append(coords)
             if entry.annihilator:
-                scaled = {beta: [entry.annihilator * c for c in part] for beta, part in coords.items()}
                 report.check(
                     f"comparison map well-defined (w={w})",
-                    oracle.in_relations(scaled),
+                    oracle.in_relations(beta, [entry.annihilator * c for c in coords]),
                     True,
-                    context=entry.__str__,
+                    context=lambda: f"{entry} in block {beta}",
                 )
         surjective = all(
             spans_full_lattice([*images.get(beta, []), *block.relations], len(block.kernel))
@@ -491,31 +468,33 @@ def verify_main_theorem(spec):
     for w in range(1, spec.truncation + 1):
         index = basis_index(closed[w])
         for mono in basis_of_weight(spec, w):
-            difference = oracle.to_kernel_coords(d[mono])
+            beta, difference = oracle.to_kernel_coords(d[mono])
             d_coords = omega_coordinates(universal_derivation(basis[mono]), index)
-            for c, coords in zip(d_coords, phi_rows[w]):
-                if c:
-                    for beta, part in coords.items():
-                        left = difference.get(beta, [0] * len(part))
-                        difference[beta] = [x - c * r for x, r in zip(left, part)]
+            stray = None  # a block other than beta that the closed-form d(mono) reaches
+            for c, (b, coords) in zip(d_coords, phi_rows[w]):
+                if c and b != beta:
+                    stray = b
+                elif c:
+                    difference = [x - c * r for x, r in zip(difference, coords)]
             report.check(
                 f"d matches in_2 - in_1 (w={w})",
-                oracle.in_relations(difference),
+                stray is None and oracle.in_relations(beta, difference),
                 True,
-                context=f"monomial {mono}",
+                context=lambda: f"monomial {mono} in block {beta}" + (f" and block {stray}" if stray else ""),
             )
 
     # phi-compatibility, through the induced tables, where the expected image is zero.
     for w in range(1, spec.truncation + 1):
-        for entry, coords in zip(closed[w], phi_rows[w]):
+        for entry, (beta, coords) in zip(closed[w], phi_rows[w]):
             for p in primes_up_to(spec.truncation // w):
                 if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
                     continue  # phi_p of these is another basis rep by construction
+                target, image = oracle.phi_coords(p, beta, coords)
                 report.check(
                     f"phi_{p} kills A_+-multiples and foreign primes (w={w})",
-                    oracle.in_relations(oracle.phi_coords(p, coords)),
+                    oracle.in_relations(target, image),
                     True,
-                    context=entry.__str__,
+                    context=lambda: f"{entry} in block {target}",
                 )
 
     # The derivation laws for a -> [in_2(a) - in_1(a)] itself.
@@ -526,7 +505,7 @@ def verify_main_theorem(spec):
             wb = spec.monomial_weight(mono_b)
             if wa + wb > spec.truncation or mono_b < mono_a:
                 continue
-            lhs = linear(d, a * basis[mono_b])
+            lhs = oracle.derivation_rep(a * basis[mono_b])
             rhs = in_1[mono_a] * d[mono_b] + in_1[mono_b] * d[mono_a]
             report.check(
                 f"Leibniz law in I/I^2 (w={wa + wb})",
@@ -543,7 +522,7 @@ def verify_main_theorem(spec):
             if (phi := phi_of(j)) is not None
         }
         for n in range(2, len(gammas) + 1):
-            lhs = linear(d, gammas[n - 1])
+            lhs = oracle.derivation_rep(gammas[n - 1])
             total = phi_da.get(n, coproduct_zero)
             for i in range(1, n):
                 if n - i in phi_da:
@@ -561,18 +540,19 @@ def indecomposable_orders(spec):
     """The order of each monomial's block of A/A^2 (0 = free), by weight.
 
     Each monomial m of A is a block with one column; its A^2 rows are the
-    coefficients C of the products x * y = C m of basis monomials.  The Smith
-    form of a one-column matrix is the gcd of its entries, so the block is
-    cyclic of order gcd(modulus, those coefficients).
+    binomials C of the products beta1 * beta2 = C m over m's halves.  The
+    Smith form of a one-column matrix is the gcd of its entries, so the block
+    is cyclic of order gcd(modulus, those binomials).
+
+    >>> from dpalg import free_spec
+    >>> indecomposable_orders(free_spec(ZZ, 1, 4))
+    {1: {((0, 1),): 0}, 2: {((0, 2),): 2}, 3: {((0, 3),): 3}, 4: {((0, 4),): 2}}
     """
-    orders, groups = {}, {}
-    for w in range(1, spec.truncation + 1):
-        groups[w] = basis_of_weight(spec, w)
-        orders[w] = dict.fromkeys(groups[w], spec.ring.modulus)
-        for x, y in factor_pairs(groups, w):
-            binom, mono = mono_mul(x, y)
-            orders[w][mono] = gcd(orders[w][mono], binom)
-    return orders
+    return {
+        w: {m: gcd(spec.ring.modulus, *(mono_mul(*half)[0] for half in halves(spec, m)))
+            for m in basis_of_weight(spec, w)}
+        for w in range(1, spec.truncation + 1)
+    }
 
 
 def verify_indecomposables(spec):

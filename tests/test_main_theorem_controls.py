@@ -11,7 +11,7 @@ import pytest
 from dpalg import oracle as oracle_module
 from dpalg.cli import run
 from dpalg.coeff import ZZ
-from dpalg.dpcore import free_spec
+from dpalg.dpcore import free_spec, from_terms
 from dpalg.oracle import OmegaOracle, verify_main_theorem
 
 SPEC = free_spec(ZZ, 2, 5)
@@ -45,6 +45,17 @@ def doubled_universal_derivation(monkeypatch):
     monkeypatch.setattr(oracle_module, "universal_derivation", lambda a: real(a).scale(2))
 
 
+def swapped_universal_derivation(monkeypatch):
+    """d(x1) read as d(x2) and back: each image lands in the other generator's block."""
+    real = oracle_module.universal_derivation
+
+    def corrupted(a):
+        swapped = {tuple(sorted((1 - g, e) for g, e in m)): c for m, c in a.terms.items()}
+        return real(from_terms(a.spec, swapped))
+
+    monkeypatch.setattr(oracle_module, "universal_derivation", corrupted)
+
+
 def doubled_multiple_reps(monkeypatch):
     real = oracle_module._closed_form_rep
 
@@ -58,8 +69,9 @@ def doubled_multiple_reps(monkeypatch):
 def shifted_phi_coords(monkeypatch):
     real = OmegaOracle.phi_coords
 
-    def corrupted(self, p, coords):
-        return {beta: [x + 1 for x in part] for beta, part in real(self, p, coords).items()}
+    def corrupted(self, p, beta, coords):
+        target, image = real(self, p, beta, coords)
+        return target, [x + 1 for x in image]
 
     monkeypatch.setattr(OmegaOracle, "phi_coords", corrupted)
 
@@ -79,14 +91,32 @@ def doubled_derivation_above_weight_1(monkeypatch):
     monkeypatch.setattr(OmegaOracle, "derivation_rep", corrupted)
 
 
+# (corruption, the law it must fail, the first counterexample where it names a block)
 CONTROLS = [
-    (free_w2_phi_entry, "invariant factors (w=2)"),
-    (three_torsion_w2_phi_entry, "comparison map well-defined (w=2)"),
-    (doubled_multiple_reps, "comparison map surjective"),
-    (doubled_universal_derivation, "d matches in_2 - in_1"),
-    (shifted_phi_coords, "phi_2 kills A_+-multiples and foreign primes"),
-    (no_phi_2, "derivation gamma-law in I/I^2"),
-    (doubled_derivation_above_weight_1, "Leibniz law in I/I^2"),
+    (free_w2_phi_entry, "invariant factors (w=2)", None),
+    (
+        three_torsion_w2_phi_entry,
+        "comparison map well-defined (w=2)",
+        "ph2*dx1 in block ((0, 2),): False != True",
+    ),
+    (doubled_multiple_reps, "comparison map surjective", None),
+    (
+        doubled_universal_derivation,
+        "d matches in_2 - in_1",
+        "monomial ((0, 1),) in block ((0, 1),): False != True",
+    ),
+    (
+        shifted_phi_coords,
+        "phi_2 kills A_+-multiples and foreign primes",
+        "x1*dx1 in block ((0, 4),): False != True",  # phi_2 of block ((0, 2),) lands in ((0, 4),)
+    ),
+    (
+        swapped_universal_derivation,
+        "d matches in_2 - in_1",
+        "monomial ((0, 1),) in block ((0, 1),) and block ((1, 1),): False != True",
+    ),
+    (no_phi_2, "derivation gamma-law in I/I^2", None),
+    (doubled_derivation_above_weight_1, "Leibniz law in I/I^2", None),
 ]
 
 
@@ -94,16 +124,18 @@ def test_the_uncorrupted_report_passes_every_control_law():
     report = verify_main_theorem(SPEC)
     assert report.passed, report.summary()
     laws = {r.law for r in report.records}
-    for _, law in CONTROLS:
+    for _, law, _ in CONTROLS:
         assert any(name.startswith(law) for name in laws), law
 
 
-@pytest.mark.parametrize("corrupt, law", CONTROLS, ids=[c.__name__ for c, _ in CONTROLS])
-def test_each_check_family_fails_under_its_corruption(monkeypatch, corrupt, law):
+@pytest.mark.parametrize("corrupt, law, counterexample", CONTROLS, ids=[c[0].__name__ for c in CONTROLS])
+def test_each_check_family_fails_under_its_corruption(monkeypatch, corrupt, law, counterexample):
     corrupt(monkeypatch)
     report = verify_main_theorem(SPEC)
-    assert not report.passed
-    assert any(r.law.startswith(law) for r in report.failures()), report.summary()
+    failed = [r for r in report.failures() if r.law.startswith(law)]
+    assert failed, report.summary()
+    if counterexample:
+        assert failed[0].counterexample == counterexample
 
 
 def test_oracle_omega_exits_one_under_a_corruption(monkeypatch, capsys):

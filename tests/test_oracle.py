@@ -35,7 +35,6 @@ from dpalg.oracle import (
     exponent_class,
     fold_degree,
     fold_kernel,
-    factor_pairs,
     indecomposable_orders,
     verify_indecomposables,
     verify_main_theorem,
@@ -87,13 +86,13 @@ RANK1 = free_spec(ZZ, 1, 6)
 X1, G2X = ((0, 1),), ((0, 2),)  # the blocks of x and gamma_2(x) at rank 1
 
 
-def subtract(a, b):
-    """Difference of two kernel coordinate dicts (block -> coordinates)."""
-    out = {beta: list(part) for beta, part in a.items()}
-    for beta, part in b.items():
-        left = out.get(beta, [0] * len(part))
-        out[beta] = [x - y for x, y in zip(left, part)]
-    return out
+def factor_pairs(groups, w):
+    """Unordered pairs (x, y) from ``groups`` (weight -> items) whose weights
+    sum to w, lighter factor first: over kernel elements, the products x * y
+    span the weight-w part of I^2, and over basis monomials that of A^2."""
+    for w1 in range(1, w // 2 + 1):
+        left, right = groups[w1], groups[w - w1]
+        yield from combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right)
 
 
 def test_coproduct_spec_and_inclusions():
@@ -206,7 +205,7 @@ def test_induced_phi2_on_weight1_class():
     oracle = OmegaOracle(free_spec(ZZ, 1, 2))
     assert oracle.blocks[X1].kernel == [[1, -1]]
     assert oracle.blocks[G2X].kernel == [[1, 0, -1], [0, 1, -2]]
-    assert oracle.phi_tables[(X1, 2)] == [[1, -1]]
+    assert oracle.blocks[X1].phi[2] == [[1, -1]]
 
 
 @pytest.mark.parametrize(
@@ -224,14 +223,16 @@ def test_phi_coords_match_the_direct_class(rank, truncation, ring):
     for w, entries in omega_free_basis(spec).items():
         for entry in entries:
             rep = _closed_form_rep(oracle, entry, {}, d)
-            coords = oracle.to_kernel_coords(rep)
+            beta, coords = oracle.to_kernel_coords(rep)
             for p in primes_up_to(truncation // w):
-                direct = oracle.to_kernel_coords(divided_power(p, rep))
-                via_tables = oracle.phi_coords(p, coords)
-                assert oracle.in_relations(subtract(direct, via_tables)), (entry, p)
+                target, direct = oracle.to_kernel_coords(divided_power(p, rep))
+                via_target, via_tables = oracle.phi_coords(p, beta, coords)
+                assert via_target == target, (entry, p)
+                difference = [x - y for x, y in zip(direct, via_tables)]
+                assert oracle.in_relations(target, difference), (entry, p)
                 compared += 1
                 if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
-                    assert not oracle.in_relations(direct), (entry, p)
+                    assert not oracle.in_relations(target, direct), (entry, p)
                     nonzero += 1
     assert compared > nonzero > 0
 
@@ -361,8 +362,8 @@ def test_gradewise_stability_under_deeper_truncation(rank, weights, ring):
             assert block.kernel == deeper.kernel, beta
             assert block.factors == deeper.factors, beta
             assert sorted(block.rows) == sorted(deeper.rows), beta
-        for key, table in small.phi_tables.items():
-            assert big.phi_tables[key] == table, key
+            for p, table in block.phi.items():
+                assert deeper.phi[p] == table, (beta, p)
 
 
 @pytest.mark.parametrize(
@@ -429,7 +430,8 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
             offset += len(block.kernel)
         assert oracle.factors(w) == cokernel_factors(width, assembled, ZZ)
         elements[w] = [from_terms(co.spec, dict(zip(domain, row))) for row in kernel]
-    # A sum over two blocks splits into the two blocks' coordinates.
+    # A kernel element of one block reads back in that block; a sum over two
+    # blocks meets both, and its coordinates are refused, naming them.
     rng = random.Random(5)
     betas = list(oracle.blocks)
     for _ in range(20):
@@ -440,10 +442,13 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
             row = [sum(c * r[j] for c, r in zip(coeffs, kernel)) for j in range(len(kernel[0]))]
             part = oracle.kernel_element(beta, row)
             if not modulus:
-                assert oracle.to_kernel_coords(part) == ({beta: coeffs} if any(coeffs) else {})
-            parts.append(part)
-        u, v = parts
-        assert oracle.to_kernel_coords(u + v) == {**oracle.to_kernel_coords(u), **oracle.to_kernel_coords(v)}
+                assert oracle.to_kernel_coords(part) == ((beta, coeffs) if any(coeffs) else (None, []))
+            parts.append((beta, part))
+        (beta_u, u), (beta_v, v) = parts
+        if u.terms and v.terms:
+            with pytest.raises(ValueError, match="meets blocks") as refused:
+                oracle.to_kernel_coords(u + v)
+            assert str(beta_u) in str(refused.value) and str(beta_v) in str(refused.value)
 
 
 BLOCK_SETTINGS = [(1, 8, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2)), (4, 5, None), (3, 6, (1, 1, 2))]
@@ -557,9 +562,17 @@ def test_class_views_match_directly_built_blocks(rank, truncation, weights, ring
                 )
                 for row in kernels[beta]
             ]
-            assert oracle.phi_tables[(beta, p)] == table, (beta, p)
+            assert block.phi[p] == table, (beta, p)
             phi_rows += len(table)
     assert phi_rows > 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(6)], ids=["Z", "Z/6"])
+def test_zero_lies_in_no_block(ring):
+    oracle = OmegaOracle(free_spec(ring, 2, 4))
+    zero = from_terms(oracle.coproduct.spec, {})
+    assert oracle.to_kernel_coords(zero) == (None, [])
+    assert oracle.class_is_zero(zero)
 
 
 def test_exponent_class_orders_exponents_within_each_weight():
