@@ -279,7 +279,9 @@ def divided_powers(n, element):
     ``a``, so entries past ``live`` = min(n, N // least) (0 for zero) are zero
     and not computed.  ``a`` keeps, in ``_gammas``, the longest sequence
     computed for it (equality and hashing ignore it), which answers any
-    request once it reaches ``live``; a shorter one is recomputed and replaced.
+    request once it reaches ``live``.  A shorter one is replaced by a pass
+    through N // least, the whole sequence, so ``a`` is recomputed at most
+    once.
 
     gamma_k(a + b) = sum_{i+j=k} gamma_i(a) gamma_j(b) makes the sequence of
     a sum the truncated product of its terms' sequences.  A term c*m with
@@ -295,10 +297,13 @@ def divided_powers(n, element):
         raise ValueError("divided power index must be >= 1")
     spec = element.spec
     cap = spec.truncation
-    live = min(n, cap // min(map(spec.monomial_weight, element.terms), default=cap + 1))
+    full = cap // min(map(spec.monomial_weight, element.terms), default=cap + 1)
+    live = min(n, full)
     kept = getattr(element, "_gammas", [])
     if len(kept) >= live:
         return kept[:n] + [zero(spec)] * (n - len(kept))
+    if kept:
+        live = full
     seq = [{} for _ in range(live + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
     weight = {}
     reach = 0  # seq[k] is empty for every k > reach
@@ -333,7 +338,7 @@ def divided_powers(n, element):
         DPElement._raw(spec, {m: r for m, c in terms.items() if (r := normalize(c))})
         for terms in seq[1:]
     ]
-    return element._gammas + [zero(spec)] * (n - live)
+    return element._gammas[:n] + [zero(spec)] * (n - live)
 
 
 def divided_power(n, element):

@@ -390,6 +390,10 @@ def phi_consequences_report(spec):
 
 @dataclass
 class PresentationSlice:
+    """One weight of the presentation: its ambient basis ``entries`` and its
+    relation ``rows``, each a dict {column: value} over ``entries`` with
+    ascending columns and no zero values."""
+
     weight: int
     entries: list
     rows: list
@@ -468,17 +472,22 @@ def presentation_relations(spec, gamma_relation_sign=-1):
 def presentation_of_omega(spec, gamma_relation_sign=-1):
     """Per-weight generators and relation rows of (U(A) (x) A)/S.
 
-    A weight's rows are its S-instances as coordinate vectors over the
-    weight's basis, deduplicated and sorted; the ambient mod-p torsion of
-    phi-coefficients is carried by the entries' annihilators.
+    A weight's rows are its S-instances as sparse rows over the weight's
+    basis: each relation's terms become (column, value) pairs through the
+    weight's ``basis_index`` (a term outside the slice raises KeyError), with
+    no zero values, as elements keep nonzero terms only.  The rows are
+    deduplicated in that form, sorted by their pairs, and stored as dicts
+    {column: value}.  The ambient mod-p torsion of phi-coefficients is carried
+    by the entries' annihilators.
     """
     slices = free_basis(spec, basis_up_to(spec), phi_major=False)
     indexes = {w: basis_index(entries) for w, entries in slices.items()}
     rows = {w: set() for w in slices}
     for w, rel in presentation_relations(spec, gamma_relation_sign):
-        rows[w].add(tuple(omega_coordinates(rel, indexes[w])))
+        index = indexes[w]
+        rows[w].add(tuple(sorted([(index[key], c) for key, c in rel.terms.items()])))
     return {
-        w: PresentationSlice(w, slices[w], sorted(rows[w]))
+        w: PresentationSlice(w, slices[w], [dict(pairs) for pairs in sorted(rows[w])])
         for w in sorted(slices)
     }
 

@@ -1,14 +1,15 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, integer
 kernels, and invariant factors of finitely generated quotients.
 
-Everything takes and returns lists of lists of Python ints; no floating
-point.  The one elimination is ``hermite_form``.  It works on sparse rows,
-dicts of their nonzero entries bucketed by leading column, so a column's gcd
-steps see only the rows that start there and touch only nonzero entries
-(sparse elimination as in Dumas, Saunders and Villard, J. Symb. Comput. 32,
-2001).  A kernel is read off one Hermite form of the augmented transpose,
-and a Smith form off Hermite forms of a matrix and its transpose, alternated
-until diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+Matrices are lists of rows of Python ints; no floating point.  A row handed
+in may be a dense sequence or a dict {column: value}; rows handed back are
+dense lists.  The one elimination is ``hermite_form``.  It works on sparse
+rows, dicts of their nonzero entries bucketed by leading column, so a
+column's gcd steps see only the rows that start there and touch only nonzero
+entries (sparse elimination as in Dumas, Saunders and Villard, J. Symb.
+Comput. 32, 2001).  A kernel is read off one Hermite form of the augmented
+transpose, and a Smith form off Hermite forms of a matrix and its transpose,
+alternated until diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 """
 
 from itertools import compress
@@ -23,34 +24,45 @@ class HermiteBasis(list):
     ``supports`` lists, for each row, the columns where it is nonzero, all at
     or past its pivot, so every solve against the lattice is a triangular
     substitution that touches only nonzero entries.  The rows are read-only:
-    ``pivots`` and ``supports`` describe them as built.
+    ``pivots`` and ``supports`` describe them as built.  ``supports`` is read
+    off the rows unless the caller already knows it.
     """
 
-    def __init__(self, rows, pivots):
+    def __init__(self, rows, pivots, supports=None):
         super().__init__(rows)
         self.pivots = tuple(pivots)
-        self.supports = tuple(tuple(compress(range(len(row)), row)) for row in self)
+        if supports is None:
+            supports = [compress(range(len(row)), row) for row in self]
+        self.supports = tuple(map(tuple, supports))
 
 
 def hermite_form(rows, ncols):
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 
-    Returns a ``HermiteBasis`` of rows in echelon form with positive pivots
-    and entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
+    Each of ``rows`` is a dense sequence of ``ncols`` ints or a dict
+    {column: value} with columns below ``ncols``; a dict may hold zero values,
+    which are ignored.  The input is left unmodified.  Returns a
+    ``HermiteBasis`` of dense rows in echelon form with positive pivots and
+    entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
 
-    The elimination touches nonzero entries only.  Each row becomes a dict
-    {column: value} of its nonzeros, kept in the bucket of its leading
+    The elimination touches nonzero entries only.  Each row becomes a fresh
+    dict {column: value} of its nonzeros, kept in the bucket of its leading
     column.  Column ``col`` takes its bucket, and gcd steps leave one row
     with an entry there, the pivot; a reduced row whose leading entry
     vanished moves to the bucket of its new leading column.  Then each pivot
     reduces the rows above it that have an entry in its column, found from a
-    column index that grows as entries fill in.
+    column index that grows as entries fill in.  Each output row's support
+    is read off its dict, not off the dense row.
     """
     cols = list(range(ncols))  # a list, so compress makes no int objects
     buckets = {}
     for r in rows:
-        if nonzero := list(compress(cols, r)):
-            buckets.setdefault(nonzero[0], []).append({j: r[j] for j in nonzero})
+        if isinstance(r, dict):
+            row = {j: v for j, v in r.items() if v}
+        else:
+            row = {j: r[j] for j in compress(cols, r)}
+        if row:
+            buckets.setdefault(min(row), []).append(row)
     basis = []
     pivots = []
     for col in cols:
@@ -117,7 +129,7 @@ def hermite_form(rows, ncols):
         for j, v in row.items():
             out[j] = v
         dense.append(out)
-    return HermiteBasis(dense, pivots)
+    return HermiteBasis(dense, pivots, map(sorted, basis))
 
 
 def spans_full_lattice(rows, ncols):
@@ -143,12 +155,16 @@ def kernel_basis_mod(rows, ncols, modulus):
     [[2, 1], [0, 2]]
     """
     nrows = len(rows)
-    augmented = [[row[j] for row in rows] + _unit_row(ncols, j, 1) for j in range(ncols)]
+    augmented = [{i: row[j] for i, row in enumerate(rows)} | {nrows + j: 1} for j in range(ncols)]
     if modulus:
-        augmented += [_unit_row(nrows + ncols, j, modulus) for j in range(nrows)]
+        augmented += [{j: modulus} for j in range(nrows)]
     reduced = hermite_form(augmented, nrows + ncols)
     first = sum(pcol < nrows for pcol in reduced.pivots)
-    return HermiteBasis([row[nrows:] for row in reduced[first:]], [p - nrows for p in reduced.pivots[first:]])
+    return HermiteBasis(
+        [row[nrows:] for row in reduced[first:]],
+        [p - nrows for p in reduced.pivots[first:]],
+        [[j - nrows for j in support] for support in reduced.supports[first:]],
+    )
 
 
 def solve_in_lattice(hnf, target):
@@ -198,7 +214,9 @@ def smith_diagonal(hnf, ncols):
 def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     """Invariant factors of Z^ncols (with per-column annihilators) modulo rows.
 
-    Over Z/m the m*identity relations are adjoined before the SNF, so a free
+    ``relation_rows`` takes rows in either form ``hermite_form`` accepts:
+    dense sequences of ``ncols`` ints, or dicts {column: value}.  Each nonzero column annihilator d_j, and over Z/m each m*e_j, is
+    adjoined as the one-entry row {j: d_j} or {j: m} before the SNF, so a free
     column contributes a Z/m summand.  The result is the canonical chain
     d_1 | d_2 | ... with 1s dropped and one 0 per free summand.  Relations
     handed in as a ``HermiteBasis`` with nothing adjoined are used as they
@@ -212,9 +230,9 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     restricted to the remaining columns: deleting those rows and columns
     keeps a Hermite form, with its pivots renumbered.
     """
-    adjoined = [_unit_row(ncols, j, d) for j, d in enumerate(column_annihilators or ()) if d]
+    adjoined = [{j: d} for j, d in enumerate(column_annihilators or ()) if d]
     if ring.modulus:
-        adjoined += [_unit_row(ncols, j, ring.modulus) for j in range(ncols)]
+        adjoined += [{j: ring.modulus} for j in range(ncols)]
     if adjoined or not isinstance(relation_rows, HermiteBasis):
         # Hermite reduction first: cheap, and it caps the row count at ncols
         # before the Smith alternation runs.
@@ -230,13 +248,6 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     chain = [d for d in diagonal if d != 1]
     chain.extend([0] * (len(kept) - len(diagonal)))
     return tuple(chain)
-
-
-def _unit_row(ncols, j, d):
-    """d times the j-th unit row of length ``ncols``."""
-    row = [0] * ncols
-    row[j] = d
-    return row
 
 
 def invariant_factor_chain(cyclic_orders, ring):

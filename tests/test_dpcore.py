@@ -268,6 +268,24 @@ def test_divided_powers_compute_only_indices_that_can_be_nonzero():
     assert divided_powers(5, nothing) == [zero(spec)] * 5 and not hasattr(nothing, "_gammas")
 
 
+def test_divided_powers_rerun_computes_the_whole_sequence():
+    # A first request computes only what it asks for; a longer one replaces
+    # the kept sequence by every index up to N // least term weight, so later
+    # requests of any length read it and nothing is computed a third time.
+    spec = free_spec(ZZ, 2, 9, weights=(1, 2))
+    a = gamma_gen(spec, 0, 1) + gamma_gen(spec, 1, 1)
+    assert len(divided_powers(2, a)) == 2 and len(a._gammas) == 2
+    three = divided_powers(3, a)
+    assert len(three) == 3 and len(a._gammas) == 9
+    kept = a._gammas
+    for n in (4, 9, 12):
+        longer = divided_powers(n, a)
+        assert len(longer) == n and a._gammas is kept
+        assert all(x is y for x, y in zip(longer, kept))
+    assert three == kept[:3]
+    assert [g.is_zero() for g in kept] == [False] * 9
+
+
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
 @pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=str)
 def test_kept_divided_powers_match_a_fresh_element(ring, weights):

@@ -226,6 +226,17 @@ def test_factorization_from_arbitrary_generator_images():
         assert recovered == images
 
 
+def dense_rows(presentation_slice):
+    """A slice's sparse rows as dense tuples over its entries, sorted."""
+    dense = []
+    for row in presentation_slice.rows:
+        out = [0] * len(presentation_slice.entries)
+        for j, v in row.items():
+            out[j] = v
+        dense.append(tuple(out))
+    return sorted(dense)
+
+
 def test_presentation_weight2_rank1():
     slices = presentation_of_omega(free_spec(ZZ, 1, 4))
     slice2 = slices[2]
@@ -245,6 +256,7 @@ def test_presentation_weight2_rank1():
         pytest.param(Ring(4), 2, 6, (1, 2), id="Z/4-2-w12"),
         pytest.param(Ring(6), 2, 6, (1, 2), id="Z/6-2-w12"),
         pytest.param(Ring(2), 2, 5, None, id="Z/2-2-n5"),
+        pytest.param(Ring(6), 2, 8, None, id="Z/6-2-n8"),
     ],
 )
 def test_presentation_matches_omega(ring, rank, trunc, weights):
@@ -258,6 +270,27 @@ def test_presentation_matches_omega(ring, rank, trunc, weights):
         )
         expected = invariant_factor_chain([e.annihilator for e in omega[w]], ring)
         assert got == expected, f"weight {w}: {got} != {expected}"
+
+
+@pytest.mark.parametrize(
+    "ring, rank, trunc, sign",
+    [(ZZ, 3, 5, -1), (Ring(6), 2, 8, -1), (ZZ, 1, 6, +1)],
+    ids=["Z-3-n5", "Z/6-2-n8", "Z-1-n6-plus"],
+)
+def test_presentation_rows_match_dense_coordinates(ring, rank, trunc, sign):
+    # The sparse rows are the distinct dense coordinate vectors of the
+    # relations, with ascending columns inside the slice and no zero value.
+    spec = free_spec(ring, rank, trunc)
+    slices = presentation_of_omega(spec, gamma_relation_sign=sign)
+    expected = {w: set() for w in slices}
+    for w, rel in presentation_relations(spec, gamma_relation_sign=sign):
+        expected[w].add(tuple(omega_coordinates(rel, basis_index(slices[w].entries))))
+    for w, s in slices.items():
+        assert dense_rows(s) == sorted(expected[w]), w
+        for row in s.rows:
+            assert all(row.values()) and list(row) == sorted(row), (w, row)
+            assert all(0 <= j < len(s.entries) for j in row), (w, row)
+    assert all(slices[w].rows for w in range(2, trunc + 1))
 
 
 def reference_product(left, right):

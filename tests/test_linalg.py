@@ -174,6 +174,8 @@ def test_unit_pivot_split_matches_full_smith():
         anns = [rng.choice([0, 0, 2, 3, 4]) for _ in range(n)] if rng.random() < 0.3 else None
         expected = _reference_cokernel_factors(n, rows, ring, anns)
         assert cokernel_factors(n, rows, ring, column_annihilators=anns) == expected, (rows, ring, anns)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert cokernel_factors(n, sparse, ring, column_annihilators=anns) == expected, (rows, ring, anns)
         hnf = hermite_form(rows, n)
         units = sum(row[p] == 1 for p, row in zip(hnf.pivots, hnf))
         units_seen += units > 0
@@ -193,6 +195,10 @@ def test_unit_pivot_split_edge_cases():
     hnf = hermite_form(rows, 3)
     assert hnf.pivots == (0, 1) and hnf[0][1] == 1
     assert cokernel_factors(3, rows, ZZ) == (2, 0)
+    # Dict rows with column annihilators over Z/6: column 1 dies (gcd(3, 4, 6)
+    # = 1), and e_2 = -2 e_0 leaves one Z/6.
+    sparse = cokernel_factors(3, [{0: 2, 2: 1}, {1: 3}], Ring(6), column_annihilators=[0, 4, 0])
+    assert sparse == _reference_cokernel_factors(3, [[2, 0, 1], [0, 3, 0]], Ring(6), [0, 4, 0]) == (6,)
 
 
 def test_invariant_factor_chain():

@@ -75,9 +75,10 @@ def dense_hermite_form(rows, ncols):
 @st.composite
 def sparse_matrices(draw):
     """Wide matrices, up to 30 x 60, with 0-3 nonzeros per row and entries up
-    to 10^6 in size, so gcd chains run long; some rows are repeated, and some
-    are tuples.  The entries come from one seeded generator, which draws far
-    faster than one strategy per entry."""
+    to 10^6 in size, so gcd chains run long; some rows are repeated, some are
+    tuples, and some are dicts {column: value}, which may be empty or hold an
+    explicit zero.  The entries come from one seeded generator, which draws
+    far faster than one strategy per entry."""
     ncols = draw(st.integers(1, 60))
     nrows = draw(st.integers(1, 30))
     rng = draw(st.randoms(use_true_random=True))
@@ -92,14 +93,33 @@ def sparse_matrices(draw):
     for _ in range(rng.randint(0, 3)):
         i = rng.randrange(nrows)
         rows[i] = tuple(rows[i])
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(nrows)
+        row = {j: v for j, v in enumerate(rows[i]) if v}
+        if rng.random() < 0.5:
+            row[rng.randrange(ncols)] = 0  # may also zero out a nonzero entry
+        rows[i] = row
     return rows, ncols
 
 
+def _dense(row, ncols):
+    if not isinstance(row, dict):
+        return list(row)
+    out = [0] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
+def _copies(rows):
+    return [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+
+
 def _assert_matches_dense_loop(rows, ncols):
-    before = [list(r) for r in rows]
+    before = _copies(rows)
     hnf = hermite_form(rows, ncols)
-    assert [list(r) for r in rows] == before  # the input is left alone
-    basis, pivots, supports = dense_hermite_form(rows, ncols)
+    assert _copies(rows) == before  # the input is left alone
+    basis, pivots, supports = dense_hermite_form([_dense(r, ncols) for r in rows], ncols)
     assert list(hnf) == basis
     assert hnf.pivots == pivots
     assert hnf.supports == supports
@@ -110,6 +130,7 @@ def _assert_matches_dense_loop(rows, ncols):
 @example(([], 4))
 @example(([[0, 0, 0], (0, 0, 0)], 3))
 @example(([[0, 6, 0, 4], (0, 6, 0, 4), [0, 0, 0, 0], [0, 10, 15, 0]], 4))
+@example(([{}, {2: 0}, {3: 4, 1: 6, 0: 0}, [0, 10, 15, 0], {1: 6, 3: 4}], 4))
 def test_hermite_form_matches_dense_loop_on_sparse_rows(case):
     _assert_matches_dense_loop(*case)
 
