@@ -24,15 +24,13 @@ class HermiteBasis(list):
     ``supports`` lists, for each row, the columns where it is nonzero, all at
     or past its pivot, so every solve against the lattice is a triangular
     substitution that touches only nonzero entries.  The rows are read-only:
-    ``pivots`` and ``supports`` describe them as built.  ``supports`` is read
-    off the rows unless the caller already knows it.
+    ``pivots`` and ``supports`` describe them as built, by the caller that
+    built them.
     """
 
-    def __init__(self, rows, pivots, supports=None):
+    def __init__(self, rows, pivots, supports):
         super().__init__(rows)
         self.pivots = tuple(pivots)
-        if supports is None:
-            supports = [compress(range(len(row)), row) for row in self]
         self.supports = tuple(map(tuple, supports))
 
 
@@ -215,9 +213,10 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     """Invariant factors of Z^ncols (with per-column annihilators) modulo rows.
 
     ``relation_rows`` takes rows in either form ``hermite_form`` accepts:
-    dense sequences of ``ncols`` ints, or dicts {column: value}.  Each nonzero column annihilator d_j, and over Z/m each m*e_j, is
-    adjoined as the one-entry row {j: d_j} or {j: m} before the SNF, so a free
-    column contributes a Z/m summand.  The result is the canonical chain
+    dense sequences of ``ncols`` ints, or dicts {column: value}.  Each nonzero
+    column annihilator d_j, and over Z/m each m*e_j, is adjoined as the
+    one-entry row {j: d_j} or {j: m} before the SNF, so a free column
+    contributes a Z/m summand.  The result is the canonical chain
     d_1 | d_2 | ... with 1s dropped and one 0 per free summand.  Relations
     handed in as a ``HermiteBasis`` with nothing adjoined are used as they
     are: the Hermite form of a Hermite form is itself.
@@ -242,8 +241,16 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     units = {pcol for pcol, row in zip(hnf.pivots, hnf) if row[pcol] == 1}
     kept = [j for j in range(ncols) if j not in units]
     position = {j: i for i, j in enumerate(kept)}
-    rest = [(position[pcol], row) for pcol, row in zip(hnf.pivots, hnf) if pcol in position]
-    core = HermiteBasis([[row[j] for j in kept] for _, row in rest], [p for p, _ in rest])
+    rest = [
+        (position[pcol], row, support)
+        for pcol, row, support in zip(hnf.pivots, hnf, hnf.supports)
+        if pcol in position
+    ]
+    core = HermiteBasis(
+        [[row[j] for j in kept] for _, row, _ in rest],
+        [p for p, _, _ in rest],
+        [[position[j] for j in support if j in position] for _, _, support in rest],
+    )
     diagonal = smith_diagonal(core, len(kept))
     chain = [d for d in diagonal if d != 1]
     chain.extend([0] * (len(kept) - len(diagonal)))
