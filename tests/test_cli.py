@@ -91,6 +91,31 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, diagnostic",
+    [
+        (["normalize", "--ring", "zmod=1", "x1"], "argument --ring: zmod modulus must be >= 2"),
+        (["normalize", "--ring", "q", "x1"], "argument --ring: unknown ring 'q' (use z or zmod=M)"),
+        (["normalize", "--ring", "zmod=x", "x1"], "argument --ring: invalid parse_ring value: 'zmod=x'"),
+        (["gamma", "0", "x1"], "error: gamma index must be >= 1"),
+        (
+            ["normalize", "2*3"],
+            "error: bare scalar 6: the algebra is non-unital, every term needs a generator",
+        ),
+    ],
+    ids=["zmod=1", "unknown-ring", "zmod=x", "gamma-0", "bare-scalar"],
+)
+def test_malformed_input_exits_two(capsys, argv, diagnostic):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert diagnostic in err
+
+
+def test_zero_scalar_product_is_zero(capsys):
+    assert invoke(capsys, "normalize", "0*3") == (0, "0\n", "")
+
+
 def test_weights_validation(capsys):
     code, _, err = invoke(capsys, "normalize", "--gens", "2", "--weights", "1", "x1")
     assert code == 2

@@ -70,11 +70,16 @@ for command, settings in (("diff", DIFF_SETTINGS), ("gamma", GAMMA_SETTINGS)):
         CASES += [(stem + ".txt", [command, *args]), (stem + ".json", [command, "--json", *args])]
 _basis_args = ["omega-basis", "--gens", "2", "--weights", "2,1", "--trunc", "6", "--ring", "zmod=6"]
 _weighted_oracle_args = ["oracle-omega", "--gens", "2", "--weights", "1,2", "--trunc", "6", "--ring", "zmod=4"]
+# Over Z/6 the summands phi_q x_i with p = 5 invertible are dropped, and the
+# JSON branch of indec prints the rest.
+_indec_args = ["indec", "--gens", "2", "--weights", "1,2", "--trunc", "6", "--ring", "zmod=6"]
 CASES += [
     ("omega-basis_g2_w21_n6_zmod6.txt", _basis_args),
     ("omega-basis_g2_w21_n6_zmod6.json", [*_basis_args, "--json"]),
     ("oracle-omega_g2_w12_n6_zmod4.txt", _weighted_oracle_args),
     ("oracle-omega_g2_w12_n6_zmod4.json", [*_weighted_oracle_args, "--json"]),
+    ("indec_g2_w12_n6_zmod6.txt", _indec_args),
+    ("indec_g2_w12_n6_zmod6.json", [*_indec_args, "--json"]),
 ]
 
 
@@ -96,7 +101,12 @@ def _nonzero(matrix):
 
 @pytest.mark.parametrize(
     "name, spec",
-    [("umodule_g1_n6_z.json", free_spec(ZZ, 1, 6)), ("umodule_g2_n4_zmod6.json", free_spec(Ring(6), 2, 4))],
+    [
+        ("umodule_g1_n6_z.json", free_spec(ZZ, 1, 6)),
+        ("umodule_g2_n4_zmod6.json", free_spec(Ring(6), 2, 4)),
+        # p = 5 <= N is invertible mod 6, so phi_5 has no table.
+        ("umodule_g1_n5_zmod6.json", free_spec(Ring(6), 1, 5)),
+    ],
 )
 def test_omega_module_tables_match_golden(name, spec):
     module = omega_as_umodule(spec)
@@ -110,6 +120,18 @@ def test_omega_module_tables_match_golden(name, spec):
             "d": [[mono, [[i, v] for i, v in enumerate(vec) if v]] for mono, vec in table.items()],
         },
     )
+
+
+def test_u0_module_tables_match_golden():
+    payload = {}
+    for ring in (ZZ, Ring(6)):
+        for cap in (6, 9):
+            module = u0_module(free_spec(ring, 1, cap), cap)
+            payload[f"{ring} cap {cap}"] = {
+                "annihilators": module.annihilators,
+                "phi_action": [[p, _nonzero(mat)] for p, mat in module.phi_action.items()],
+            }
+    _matches_golden("u0_module_tables.json", payload)
 
 
 PRESENTATION_GOLDENS = [

@@ -1,0 +1,50 @@
+"""Every name a ``dpalg`` module imports is used in its code or in one of its
+docstring examples.  ``__init__`` is exempt: its imports are re-exports."""
+
+import ast
+import doctest
+from pathlib import Path
+
+import pytest
+
+import dpalg
+
+SOURCES = sorted(p for p in Path(dpalg.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """The names bound by the module's import statements."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+def loaded_names(tree):
+    """The names read anywhere in ``tree``, attribute chains by their root."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def docstring_example_names(tree):
+    """The names read by the examples of every docstring in the module."""
+    parser = doctest.DocTestParser()
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for example in parser.get_examples(ast.get_docstring(node) or ""):
+                names |= loaded_names(ast.parse(example.source))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    unused = imported_names(tree) - loaded_names(tree) - docstring_example_names(tree)
+    assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse('"""\n>>> print(ZZ)\n"""\nfrom math import gcd, comb\nfrom .coeff import ZZ\ncomb(3, 1)\n')
+    assert imported_names(tree) - loaded_names(tree) - docstring_example_names(tree) == {"gcd"}

@@ -373,6 +373,9 @@ CLOSURE_CASES = [  # (ring, rank, N, weights)
     (ZZ, 2, 9, (2, 3)),
     (Ring(6), 3, 5, (1, 1, 1)),
     (ZZ, 3, 6, (1, 2, 2)),
+    # phi_2 and phi_3 twists vanish: 2 and 3 are invertible mod 5.
+    (Ring(5), 2, 7, (1, 1)),
+    (Ring(9), 2, 9, (1, 2)),
 ]
 
 

@@ -1,7 +1,8 @@
 """Property tests of hermite_form, smith_diagonal and kernel_basis_mod
 against references that run no elimination from ``dpalg.linalg``: a dense
 Hermite loop kept here, determinantal divisors from Bareiss determinants, and
-kernels by enumerating a box of vectors.
+kernels by enumerating a box of vectors.  cokernel_factors over Z/m is held
+to the direct route, which adjoins every m*e_j before one Smith form.
 
 Skipped when hypothesis is not installed (it is in the ``test`` extra).
 """
@@ -14,8 +15,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from dpalg.linalg import hermite_form, in_lattice, kernel_basis_mod, smith_diagonal
-from test_linalg import determinant
+from dpalg.coeff import Ring
+from dpalg.linalg import cokernel_factors, hermite_form, in_lattice, kernel_basis_mod, smith_diagonal
+from test_linalg import _reference_cokernel_factors, determinant
 
 
 @st.composite
@@ -199,3 +201,26 @@ def test_integer_kernel_holds_every_solution_in_a_box(case):
         assert not any(_image(rows, v))
     for v in product(range(-3, 4), repeat=ncols):
         assert in_lattice(basis, v) == (not any(_image(rows, v))), v
+
+
+@st.composite
+def annihilated_matrices(draw):
+    """A sparse matrix with column annihilators, about half of them nonzero."""
+    rows, ncols = draw(sparse_matrices())
+    anns = draw(st.lists(st.sampled_from((0, 0, 0, 2, 3, 4, 6, 9, 10)), min_size=ncols, max_size=ncols))
+    return rows, ncols, anns
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from((2, 4, 6, 9, 12, 30)), annihilated_matrices())
+@example(6, ([], 4, [0, 0, 0, 0]))
+@example(12, ([], 3, [0, 8, 9]))
+@example(30, ([[2, 0, 3], {0: 5, 2: 10}], 3, [0, 0, 0]))  # column 1 is zero
+@example(4, ([[1, 0, 3], [0, 2, 1]], 3, [0, 6, 0]))
+def test_cokernel_factors_mod_m_match_adjoining_every_m_e_j(modulus, case):
+    """M/mM has the factors of M, each d sent to gcd(d, m) and each free
+    summand to m: the same chain as the Smith form with every m*e_j adjoined."""
+    rows, ncols, anns = case
+    ring = Ring(modulus)
+    expected = _reference_cokernel_factors(ncols, [_dense(r, ncols) for r in rows], ring, anns)
+    assert cokernel_factors(ncols, rows, ring, anns) == expected

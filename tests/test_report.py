@@ -38,3 +38,31 @@ def test_string_contexts():
         (False, "n=3: 1 != 2"),
         (False, "1 != 2"),
     ]
+
+
+def test_condensed_reports_a_later_failure():
+    report = CheckReport("laws")
+    report.check("law", 1, 1, "first")
+    report.check("other", 2, 2)
+    report.check("law", 1, 2, "second")
+    report.check("law", 3, 4, "third")
+    assert [(r.law, r.passed, r.counterexample) for r in report.condensed()] == [
+        ("law", False, "second: 1 != 2"),
+        ("other", True, ""),
+    ]
+    assert "[FAIL] law  (second: 1 != 2)" in report.summary()
+
+
+def test_to_json_carries_the_counterexample():
+    report = CheckReport("laws")
+    report.check("law", 1, 1)
+    report.check("law", 1, 2, "n=3")
+    report.check("other", 2, 2)
+    assert report.to_json() == {
+        "title": "laws",
+        "passed": False,
+        "checks": [
+            {"law": "law", "status": "fail", "counterexample": "n=3: 1 != 2"},
+            {"law": "other", "status": "pass"},
+        ],
+    }
