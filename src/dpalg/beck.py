@@ -24,8 +24,7 @@ from .coeff import is_prime
 from .dpcore import basis_up_to, divided_powers, dp_axiom_report, from_terms, random_element, zero
 from .envelope import (
     UNIT,
-    phi_coefficient_modulus,
-    phi_degree,
+    phi_mul,
     phi_of,
     u0_basis_up_to,
 )
@@ -357,18 +356,11 @@ def u0_module(spec, degree_cap):
     n = len(basis)
     anns = tuple(ann for _, ann in basis)
     phi_action = {}
-    seen_primes = sorted({phi[0] for phi, _ in basis if phi != UNIT})
-    for p in seen_primes:
+    for p in sorted({phi[0] for phi, _ in basis if phi != UNIT}):
         rows = [[0] * n for _ in range(n)]
-        for phi, _ in basis:
-            source = index[phi]
-            if phi == UNIT:
-                target = (p, 1)
-            elif phi[0] == p:
-                target = (p, phi[1] + 1)
-            else:
-                continue
-            if phi_degree(target) <= degree_cap and phi_coefficient_modulus(spec.ring, p) > 1:
+        for source, (phi, _) in enumerate(basis):
+            target = phi_mul((p, 1), phi)
+            if target in index:
                 rows[index[target]][source] = 1
         phi_action[p] = rows
     return UModule(spec, anns, phi_action=phi_action)

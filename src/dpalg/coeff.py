@@ -38,7 +38,9 @@ class Ring:
         """Order of a cyclic summand declared with annihilator ``d``.
 
         Over Z this is ``d`` itself (0 = free).  Over Z/m a "free" summand is
-        killed by m, and Z/d collapses to Z/gcd(d, m).
+        killed by m, and Z/d collapses to Z/gcd(d, m).  The one base-change
+        rule: it maps the factors of M to those of M/mM, and with d = p gives
+        the order of R/p, the coefficients of phi_p^e (1: dropped terms).
         """
         if self.modulus == 0:
             return d
@@ -115,7 +117,6 @@ def prime_power_decomposition(n):
                 n //= p
                 e += 1
             return (p, e) if n == 1 else None
-    return None
 
 
 def prime_powers_up_to(bound):

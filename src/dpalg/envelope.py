@@ -17,8 +17,8 @@ for (amono (x) phi) (x) [label] with amono None the unit of A_+.  It shares
 its canonical form, sums, equality and printing with DPElement
 (``dpcore.SparseElement``) and differs in four hooks.  A term weighs
 w(amono) + deg(phi) * w(label) and is dropped past the truncation.
-Coefficients of phi_p^e are kept reduced mod p (mod gcd(p, m) over Z/m, hence
-dropped whenever p is invertible).  Terms sort by label, phi, then amono.
+Coefficients of phi_p^e are kept in R/p, mod ``Ring.effective_annihilator(p)``
+(dropped whenever p is invertible).  Terms sort by label, phi, then amono.
 Scalars do not commute past phi-monomials: each coefficient sits on the
 left, and products route right-hand scalars through the twist.
 
@@ -35,8 +35,6 @@ the twist by mu followed by the shift by c.
 >>> print(env_phi(spec, 3, scalar=5) - env_unit(spec, 2))
 -2 + 2*ph3
 """
-
-from math import gcd
 
 from .coeff import prime_power_decomposition, prime_powers_up_to
 from .dpcore import SparseElement, format_monomial, mono_mul, monomial_sort_key
@@ -75,15 +73,6 @@ def phi_sort_key(phi):
     return (phi_degree(phi), phi[0] if phi else 0)
 
 
-def phi_coefficient_modulus(ring, p):
-    """The coefficient ring of a phi_p^e term is R/p; its order as declared here.
-
-    Over Z this is p; over Z/m it is gcd(p, m), so 1 (a dropped term) whenever
-    p is invertible mod m.
-    """
-    return p if ring.modulus == 0 else gcd(p, ring.modulus)
-
-
 def format_phi(phi):
     if phi == UNIT:
         return "1"
@@ -112,9 +101,9 @@ def format_term(key):
 
 
 def _reduce_coefficient(ring, key, c):
-    """c in R for a unit phi-part, in R/p for phi_p^e (see phi_coefficient_modulus)."""
+    """c in R for a unit phi-part, mod ``ring.effective_annihilator(p)`` for phi_p^e."""
     phi = key[1]
-    return ring.normalize(c) if phi == UNIT else c % phi_coefficient_modulus(ring, phi[0])
+    return ring.normalize(c) if phi == UNIT else c % ring.effective_annihilator(phi[0])
 
 
 def _term_order(spec, key):
@@ -127,17 +116,18 @@ def twist(spec, phi, weight, terms):
     """phi * x on the term dict of an x homogeneous of the given weight.
 
     A term (label, nu, None) goes to (label, phi*nu, None), its coefficient
-    read in R/p for phi = phi_p^e (see phi_coefficient_modulus).  A term with
-    an A_+ part, or with a phi part of another prime, goes to zero.  No two
-    images meet, as phi*nu determines nu.  The image weighs deg(phi) * weight;
-    returns (that weight, image terms), or None when it is past N.
+    read in R/p for phi = phi_p^e, of order ``ring.effective_annihilator(p)``.
+    A term with an A_+ part, or with a phi part of another prime, goes to
+    zero.  No two images meet, as phi*nu determines nu.  The image weighs
+    deg(phi) * weight; returns (that weight, image terms), or None when it
+    is past N.
     """
     if phi == UNIT:
         return weight, terms
     weight *= phi_degree(phi)
     if weight > spec.truncation:
         return None
-    modulus = phi_coefficient_modulus(spec.ring, phi[0])
+    modulus = spec.ring.effective_annihilator(phi[0])
     out = {}
     for (label, nu, amono), c in terms.items():
         if amono is None and (product := phi_mul(phi, nu)) is not None:
@@ -269,14 +259,14 @@ def env_phi(spec, p, e=1, scalar=1):
 def u0_basis_up_to(degree_cap, ring):
     """Canonical U(0) basis of degree <= cap: (phi-monomial, annihilator) pairs.
 
-    The unit carries annihilator 0; phi_p^e carries p.  Terms whose
-    coefficient ring R/p is trivial are omitted.  Ordered by degree, then p.
+    The unit carries annihilator 0; phi_p^e carries p, and is omitted when
+    R/p is trivial: ``ring.effective_annihilator(p)`` is 1.  Ordered by degree, then p.
     """
     if degree_cap < 1:
         raise ValueError("degree cap must be >= 1")
     basis = [(UNIT, 0)]
     for n in prime_powers_up_to(degree_cap):
         p, e = prime_power_decomposition(n)
-        if phi_coefficient_modulus(ring, p) > 1:
+        if ring.effective_annihilator(p) > 1:
             basis.append(((p, e), p))
     return basis

@@ -30,7 +30,7 @@ element) pairs, so each relation goes straight to its weight's slice.
 import random
 from dataclasses import dataclass
 
-from .coeff import prime_power_decomposition, prime_powers_up_to, primes_up_to
+from .coeff import primes_up_to
 from .dpcore import (
     basis_up_to,
     coordinates,
@@ -44,7 +44,6 @@ from .envelope import (
     UNIT,
     UElement,
     format_term,
-    phi_coefficient_modulus,
     phi_degree,
     phi_of,
     phi_sort_key,
@@ -184,8 +183,6 @@ def omega_as_umodule(spec):
             a_action[mono] = list(zip(*columns))
     phi_action = {}
     for p in primes_up_to(spec.truncation):
-        if phi_coefficient_modulus(spec.ring, p) == 1:
-            continue
         columns = [omega_coordinates(el.act_phi(p), index) for el in elements]
         if any(any(col) for col in columns):
             phi_action[p] = list(zip(*columns))
@@ -416,8 +413,9 @@ def presentation_relations(spec, gamma_relation_sign=-1):
     U(A) (x) A.  The second family is 1 (x) gamma_n(a) - phi_n (x) a +
     sign * sum gamma_i(a) phi_j (x) a; the derivation law forces sign = -1,
     which is the default.  Each generator of weight w is followed by its
-    nonzero twists by phi_q (weight q * w <= N), and each of those by its
-    nonzero shifts by the basis monomials m with weight + w(m) <= N.
+    nonzero twists by the phi_q of ``u0_basis_up_to`` (weight q * w <= N),
+    and each of those by its nonzero shifts by the basis monomials m with
+    weight + w(m) <= N.
     """
     cap = spec.truncation
     weighted = [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
@@ -432,9 +430,8 @@ def presentation_relations(spec, gamma_relation_sign=-1):
             base.append(rel)
         for n in range(2, cap // wa + 1):
             rel = _unit_on_monomials(divided_power(n, a_el))
-            decomposition = prime_power_decomposition(n)
-            if decomposition is not None:
-                rel = rel - UElement(spec, {(a, decomposition, None): 1})
+            if (phi := phi_of(n)) is not None:
+                rel = rel - UElement(spec, {(a, phi, None): 1})
             for i in range(1, n):
                 phi = phi_of(n - i)
                 if phi is None:
@@ -445,7 +442,7 @@ def presentation_relations(spec, gamma_relation_sign=-1):
 
     # Twists and shifts both ascend in weight: the first image past N ends a loop.
     closed = []
-    twists = [prime_power_decomposition(q) for q in prime_powers_up_to(cap)]
+    twists = [phi for phi, _ in u0_basis_up_to(cap, spec.ring)[1:]]
     products = {}
     for rel in base:
         if rel.is_zero():

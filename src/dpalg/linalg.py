@@ -210,16 +210,17 @@ def smith_diagonal(hnf, ncols):
 
 
 def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
-    """Invariant factors of Z^ncols (with per-column annihilators) modulo rows.
+    """Invariant factors of R^ncols (with per-column annihilators) modulo rows.
 
     ``relation_rows`` takes rows in either form ``hermite_form`` accepts:
     dense sequences of ``ncols`` ints, or dicts {column: value}.  Each nonzero
-    column annihilator d_j, and over Z/m each m*e_j, is adjoined as the
-    one-entry row {j: d_j} or {j: m} before the SNF, so a free column
-    contributes a Z/m summand.  The result is the canonical chain
-    d_1 | d_2 | ... with 1s dropped and one 0 per free summand.  Relations
-    handed in as a ``HermiteBasis`` with nothing adjoined are used as they
-    are: the Hermite form of a Hermite form is itself.
+    column annihilator d_j is adjoined as the one-entry row {j: d_j}, and the
+    cokernel M is reduced over Z.  Over R = Z/m the module is M/mM, whose
+    factors are those of M, each mapped by ``ring.effective_annihilator``, so
+    ``invariant_factor_chain`` gives the canonical chain d_1 | d_2 | ... over
+    R, with 1s dropped and one 0 per free summand.  Relations handed in as a
+    ``HermiteBasis`` with nothing adjoined are used as they are: the Hermite
+    form of a Hermite form is itself.
 
     In the Hermite form of the relations a pivot equal to 1 is the only
     nonzero entry of its column (entries above it are reduced into [0, 1),
@@ -230,8 +231,6 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     keeps a Hermite form, with its pivots renumbered.
     """
     adjoined = [{j: d} for j, d in enumerate(column_annihilators or ()) if d]
-    if ring.modulus:
-        adjoined += [{j: ring.modulus} for j in range(ncols)]
     if adjoined or not isinstance(relation_rows, HermiteBasis):
         # Hermite reduction first: cheap, and it caps the row count at ncols
         # before the Smith alternation runs.
@@ -252,9 +251,7 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
         [[position[j] for j in support if j in position] for _, _, support in rest],
     )
     diagonal = smith_diagonal(core, len(kept))
-    chain = [d for d in diagonal if d != 1]
-    chain.extend([0] * (len(kept) - len(diagonal)))
-    return tuple(chain)
+    return invariant_factor_chain(diagonal + [0] * (len(kept) - len(diagonal)), ring)
 
 
 def invariant_factor_chain(cyclic_orders, ring):
