@@ -106,6 +106,9 @@ def _nonzero(matrix):
         ("umodule_g2_n4_zmod6.json", free_spec(Ring(6), 2, 4)),
         # p = 5 <= N is invertible mod 6, so phi_5 has no table.
         ("umodule_g1_n5_zmod6.json", free_spec(Ring(6), 1, 5)),
+        # Weighted generators: many (basis element, monomial) pairs act past N.
+        ("umodule_g2_w12_n6_zmod4.json", free_spec(Ring(4), 2, 6, weights=(1, 2))),
+        ("umodule_g2_w23_n7_z.json", free_spec(ZZ, 2, 7, weights=(2, 3))),
     ],
 )
 def test_omega_module_tables_match_golden(name, spec):
