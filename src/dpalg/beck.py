@@ -20,6 +20,8 @@ product, gamma_n = phi_n), so its structure laws are the DP axioms of
 0 (+) M, and verify_abelian_structure runs the same suite on (0, x).
 """
 
+from itertools import compress
+
 from .coeff import is_prime
 from .dpcore import basis_up_to, divided_powers, dp_axiom_report, from_terms, random_element, zero
 from .envelope import (
@@ -75,7 +77,12 @@ class UModule:
         n = self.rank
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"table {key} is not {n} x {n}")
-        return [[(i, v) for i, v in enumerate(column) if v] for column in zip(*rows)]
+        positions = list(range(n))  # a list, so compress makes no int objects
+        columns = [[] for _ in positions]
+        for i, row in enumerate(rows):
+            for j in compress(positions, row):
+                columns[j].append((i, row[j]))
+        return columns
 
     @property
     def rank(self):
@@ -263,13 +270,15 @@ class SemidirectElement:
 def semidirect_gamma(n, u):
     """gamma_n(a, x) = (gamma_n a, phi_n x + sum_{i+j=n} gamma_i(a) phi_j(x)).
 
-    ``u`` keeps its longest sequence, as in ``divided_powers``.  One pass
-    builds it from gamma_1(a) ... gamma_n(a) and each phi_j(x) computed once
-    (phi_{p^e} as phi_p of phi_{p^(e-1)}, zero unless j is 1 or a prime
-    power): v_k = phi_k(x) + sum_{j<k} gamma_{k-j}(a) phi_j(x), reduced once.
-    Only nonzero phi_j(x) are kept, as their nonzero pairs (phi_p is
-    additive, so phi_{p^e}(x) = 0 once phi_{p^(e-1)}(x) = 0), and a term
-    whose gamma_{k-j}(a) is zero is skipped.
+    ``u`` keeps its longest sequence, and a longer request extends it: the
+    entries past the kept ones are built from gamma_1(a) ... gamma_n(a) and
+    each phi_j(x) computed once (phi_{p^e} as phi_p of phi_{p^(e-1)}, zero
+    unless j is 1 or a prime power): v_k = phi_k(x) + sum_{j<k}
+    gamma_{k-j}(a) phi_j(x), reduced once.  Only nonzero phi_j(x) are kept,
+    as their nonzero pairs (phi_p is additive, so phi_{p^e}(x) = 0 once
+    phi_{p^(e-1)}(x) = 0), and a term whose gamma_{k-j}(a) is zero is
+    skipped.  The kept list is never changed in place: an extension is a
+    new list whose prefix holds the earlier entries.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
@@ -285,8 +294,8 @@ def semidirect_gamma(n, u):
                 if any(image := mod.phi_p(phi[0], phis[j // phi[0]])):
                     phis[j] = image
         pairs = {j: _nonzero(x) for j, x in phis.items()}
-        kept = [u]
-        for k in range(2, n + 1):
+        kept = list(kept) or [u]
+        for k in range(len(kept) + 1, n + 1):
             image = dict(pairs.get(k, ()))
             for j, nonzero in pairs.items():
                 if j < k and gammas[k - j - 1].terms:

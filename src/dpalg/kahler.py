@@ -171,21 +171,58 @@ def phi_inversion(n, element):
 
 
 def omega_as_umodule(spec):
+    """Omega as a UModule: its action tables over ``omega_basis_all``.
+
+    The action is graded: a monomial of weight w takes a basis element of
+    weight v to weight v + w, and phi_p takes it to weight p * v, so only the
+    pairs with that weight at most N are acted on (the basis ascends in
+    weight, so the first pair past N ends a scan).  Each image is written
+    straight into its table, column j the image of basis element j; a row
+    is allocated at its first nonzero entry, the rows that stay zero share
+    one tuple, and a table that stays zero is left out.  Tables are keyed
+    in basis order, then in prime order.
+
+    >>> from dpalg import ZZ, free_spec
+    >>> module = omega_as_umodule(free_spec(ZZ, 1, 3))
+    >>> [str(e) for e in omega_basis_all(module.spec)], module.annihilators
+    (['dx1', 'x1*dx1', 'ph2*dx1', 'g2(x1)*dx1', 'x1*ph2*dx1', 'ph3*dx1'], (0, 0, 2, 0, 2, 3))
+    >>> x1 = ((0, 1),)  # x1 * (x1*dx1) = 2 g2(x1)*dx1 and phi_2(dx1) = ph2*dx1
+    >>> module.a_action[x1][3], module.phi_action[2][2]
+    ((0, 2, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
+    """
+    cap = spec.truncation
     entries = omega_basis_all(spec)
     index = basis_index(entries)
     anns = tuple(e.annihilator for e in entries)
-    elements = [e.element(spec) for e in entries]
+    rank = len(entries)
+    zero = (0,) * rank
+    elements = [(e.weight, e.element(spec)) for e in entries]
+
+    def table(act, top):
+        """The rows of ``act``, None if zero, from its images of the basis
+        elements of weight <= top; a row is allocated at its first entry."""
+        rows = {}
+        for j, (v, el) in enumerate(elements):
+            if v > top:
+                break
+            for key, c in act(el).terms.items():
+                i = index[key]
+                if i not in rows:
+                    rows[i] = [0] * rank
+                rows[i][j] = c
+        if rows:
+            return [tuple(rows[i]) if i in rows else zero for i in range(rank)]
+        return None
+
     a_action = {}
     for mono in basis_up_to(spec):
         a_el = from_terms(spec, {mono: 1})
-        columns = [omega_coordinates(el.act_algebra(a_el), index) for el in elements]
-        if any(any(col) for col in columns):
-            a_action[mono] = list(zip(*columns))
+        if rows := table(lambda el: el.act_algebra(a_el), cap - spec.monomial_weight(mono)):
+            a_action[mono] = rows
     phi_action = {}
-    for p in primes_up_to(spec.truncation):
-        columns = [omega_coordinates(el.act_phi(p), index) for el in elements]
-        if any(any(col) for col in columns):
-            phi_action[p] = list(zip(*columns))
+    for p in primes_up_to(cap):
+        if rows := table(lambda el: el.act_phi(p), cap // p):
+            phi_action[p] = rows
     return UModule(spec, anns, a_action=a_action, phi_action=phi_action)
 
 

@@ -116,6 +116,17 @@ def test_semidirect_gamma_sequence_matches_per_index_formula(module):
             assert semidirect_gamma(n, descending) == _gamma_by_index(n, descending), (str(a), x, n)
 
 
+def test_semidirect_gamma_extends_its_kept_sequence():
+    m = mixed_torsion_module(SPEC)
+    u = SemidirectElement(m, gamma_gen(SPEC, 0, 1), (1, 0, 1))
+    short = [semidirect_gamma(n, u) for n in range(1, 4)]
+    kept = u._gammas
+    longer = [semidirect_gamma(n, u) for n in range(6, 0, -1)][::-1]
+    assert all(a is b for a, b in zip(short, longer))
+    assert len(kept) == 3  # extended on a copy, not in place
+    assert longer == [_gamma_by_index(n, u) for n in range(1, 7)]
+
+
 def test_module_validation():
     assert mixed_torsion_module(SPEC).validate().passed
     assert u0_module(SPEC, 6).validate().passed

@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dpalg.beck import SemidirectElement, semidirect_gamma, trivial_module
+from dpalg.beck import SemidirectElement, UModule, semidirect_gamma, trivial_module
 from dpalg.coeff import Ring, ZZ, gamma_compose_coeff
 from dpalg.dpcore import DPElement, basis_up_to, divided_power, free_spec
 from dpalg.kahler import apply_table, omega_as_umodule
@@ -126,3 +126,40 @@ def test_scalar_product_and_composition_laws(pair, r, n, m):
     assert semidirect_gamma(n, v.scale(r)) == semidirect_gamma(n, v).scale(ring.pow(r, n)), "gamma_n(rb)"
     coeff = ring.normalize(gamma_compose_coeff(m, n))
     assert semidirect_gamma(m, semidirect_gamma(n, u)) == semidirect_gamma(m * n, u).scale(coeff), "gamma_m(gamma_n)"
+
+
+def _enumerate_columns(rows):
+    """Reference: column j's nonzero (row, entry) pairs by an enumerate scan."""
+    return [[(i, v) for i, v in enumerate(column) if v] for column in zip(*rows)]
+
+
+@st.composite
+def _tables(draw, square=True):
+    """A table of integer rows with zero rows and negative entries; rank 0
+    included.  With ``square`` False, one not rank x rank for its rank."""
+    n = draw(st.integers(0, 6))
+    lengths = [n] * n
+    if not square:
+        lengths = draw(st.lists(st.integers(0, 7), max_size=7).filter(lambda ls: ls != [n] * n))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [
+        draw(st.one_of(st.just([0] * length), st.lists(entry, min_size=length, max_size=length)))
+        for length in lengths
+    ]
+    return n, rows
+
+
+@PROPERTY_SETTINGS
+@given(_tables())
+def test_columns_match_enumerate_scan(table):
+    rank, rows = table
+    module = UModule(SPEC, (0,) * rank, phi_action={2: rows})
+    assert module._phi_columns[2] == _enumerate_columns(rows)
+
+
+@PROPERTY_SETTINGS
+@given(_tables(square=False))
+def test_columns_reject_tables_not_rank_by_rank(table):
+    rank, rows = table
+    with pytest.raises(ValueError, match=f"not {rank} x {rank}"):
+        UModule(SPEC, (0,) * rank, phi_action={2: rows})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dpalg.coeff import Ring, ZZ, prime_power_decomposition, prime_powers_up_to
+from dpalg.coeff import Ring, ZZ, prime_power_decomposition, prime_powers_up_to, primes_up_to
 from dpalg.dpcore import (
     basis_up_to,
     divided_power,
@@ -158,6 +158,69 @@ def test_omega_module_is_valid_and_d_is_a_derivation():
     table = universal_derivation_table(spec)
     report = is_dp_derivation(table, module, samples=60, seed=21)
     assert report.passed, report.summary()
+
+
+def reference_omega_as_umodule(spec):
+    """Reference tables: every (monomial or prime, basis element) pair is acted
+    on and read as a dense coordinate column, and the columns are transposed."""
+    entries = omega_basis_all(spec)
+    index = basis_index(entries)
+    elements = [e.element(spec) for e in entries]
+    a_action = {}
+    for mono in basis_up_to(spec):
+        a_el = from_terms(spec, {mono: 1})
+        columns = [omega_coordinates(el.act_algebra(a_el), index) for el in elements]
+        if any(any(col) for col in columns):
+            a_action[mono] = list(zip(*columns))
+    phi_action = {}
+    for p in primes_up_to(spec.truncation):
+        columns = [omega_coordinates(el.act_phi(p), index) for el in elements]
+        if any(any(col) for col in columns):
+            phi_action[p] = list(zip(*columns))
+    return tuple(e.annihilator for e in entries), a_action, phi_action
+
+
+@pytest.mark.parametrize(
+    "ring, rank, trunc, weights",
+    [
+        (ZZ, 1, 6, None),
+        (ZZ, 2, 6, None),
+        (Ring(6), 3, 5, None),
+        (Ring(4), 2, 6, (1, 2)),
+        (ZZ, 2, 7, (2, 3)),
+        (Ring(9), 2, 5, None),
+        (Ring(2), 1, 9, None),
+    ],
+    ids=["1-6-Z", "2-6-Z", "3-5-Z/6", "2-w12-6-Z/4", "2-w23-7-Z", "2-5-Z/9", "1-9-Z/2"],
+)
+def test_omega_module_tables_match_dense_reference(ring, rank, trunc, weights):
+    spec = free_spec(ring, rank, trunc, weights=weights) if weights else free_spec(ring, rank, trunc)
+    module = omega_as_umodule(spec)
+    annihilators, a_action, phi_action = reference_omega_as_umodule(spec)
+    assert module.annihilators == annihilators
+    assert list(module.a_action.items()) == list(a_action.items())
+    assert list(module.phi_action.items()) == list(phi_action.items())
+
+
+def test_omega_module_acts_only_on_pairs_in_range(monkeypatch):
+    # A monomial of weight w moves weight v to v + w, phi_p moves it to p * v;
+    # a pair landing past N has a zero image and must not be acted on.
+    spec = free_spec(ZZ, 2, 6)
+    calls = {"act_algebra": 0, "act_phi": 0}
+    for name in calls:
+
+        def counted(self, *args, _method=getattr(UElement, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(UElement, name, counted)
+    omega_as_umodule(spec)
+    weights = [e.weight for e in omega_basis_all(spec)]
+    in_range = {
+        "act_algebra": sum(v + spec.monomial_weight(m) <= 6 for m in basis_up_to(spec) for v in weights),
+        "act_phi": sum(p * v <= 6 for p in primes_up_to(6) for v in weights),
+    }
+    assert calls == in_range == {"act_algebra": 392, "act_phi": 30}
 
 
 def test_is_dp_derivation_negative_control():
