@@ -18,6 +18,7 @@ coefficient is the term with empty "monomial" and aug_scalar = coeff.
 import argparse
 import json
 import sys
+from functools import cache
 
 from .coeff import Ring, ZZ
 from .dpcore import AlgebraSpec, divided_power
@@ -100,7 +101,9 @@ SUITE_FLAGS = {
 }
 
 
+@cache
 def build_parser():
+    """The ``dpalg`` parser, built on first use and shared by every ``run``."""
     parser = argparse.ArgumentParser(
         prog="dpalg",
         description="exact computations in weight-truncated free divided power algebras",

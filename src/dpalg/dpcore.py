@@ -9,12 +9,12 @@ as a tuple of (generator, exponent) pairs and has weight sum(e * w_gen).  The
 truncation N quotients by the ideal of weight > N, so every operation is
 finite; products and divided powers never lower weight, which makes dropping
 overweight terms sound.  ``divided_powers(n, a)`` returns gamma_1(a) ...
-gamma_n(a) at once by the exponential law gamma_k(a + b) = sum_{i+j=k}
-gamma_i(a) gamma_j(b), and ``divided_power`` is its last entry; indices past
-N // (least term weight) are zero and not computed.  An element keeps the
-longest sequence computed for it: a shorter request reads it, and a longer
-one recomputes and replaces it.  Elements are never changed after
-construction, so the kept sequence cannot go stale.
+gamma_n(a), each entry by the recurrence k gamma_k(a) = a gamma_{k-1}(a)
+(over Z/m on the Z-lift of a, then reduced), and ``divided_power`` is entry
+n; indices past N // (least term weight) are zero and not computed.  An
+element keeps the sequence computed for it: a shorter request reads it, and
+a longer one extends it from the last kept entry.  Elements are never
+changed after construction, so the kept sequence cannot go stale.
 
 >>> spec = AlgebraSpec(ZZ, (1, 1), 8)
 >>> x, y = gamma_gen(spec, 0, 1), gamma_gen(spec, 1, 1)
@@ -224,7 +224,7 @@ def format_monomial(mono):
 class DPElement(SparseElement):
     """An element of a truncated free DP algebra, in canonical form; see ``divided_powers``."""
 
-    __slots__ = ("_gammas",)
+    __slots__ = ("_gammas", "_lift")
 
     _weigh = staticmethod(AlgebraSpec.monomial_weight)
     _reduce = staticmethod(lambda ring, mono, c: ring.normalize(c))
@@ -273,82 +273,66 @@ def gamma_gen(spec, gen, n):
 
 
 def divided_powers(n, element):
-    """[gamma_1(a), ..., gamma_n(a)] in one pass, by the exponential law.
+    """[gamma_1(a), ..., gamma_n(a)], each entry by k gamma_k(a) = a gamma_{k-1}(a).
+
+    Over Z the division by k is exact, the free DP algebra being torsion
+    free.  Over Z/m the sequence is that of the Z-lift of ``a`` (its residues
+    read as integers), reduced: base change from Z to Z/m is a DP map, and
+    truncation commutes with it.  Truncation commutes with the recurrence as
+    well, since products never lower weight.
 
     A term of gamma_k(a) weighs at least k times the least term weight of
     ``a``, so entries past ``live`` = min(n, N // least) (0 for zero) are zero
-    and not computed.  ``a`` keeps, in ``_gammas``, the longest sequence
-    computed for it (equality and hashing ignore it), which answers any
-    request once it reaches ``live``.  A shorter one is replaced by a pass
-    through N // least, the whole sequence, so ``a`` is recomputed at most
-    once.
-
-    gamma_k(a + b) = sum_{i+j=k} gamma_i(a) gamma_j(b) makes the sequence of
-    a sum the truncated product of its terms' sequences.  A term c*m with
-    m = prod gamma_{e_i}(x_i) has gamma_j(c m) = g_j prod gamma_{j e_i}(x_i),
-    where g_j = g_{j-1} * c * prod C(j e_i, e_i) / j, both sides being
-    c^j m^j / j!.  One dict per index absorbs the terms of ``a`` one at a
-    time; it is updated from index live down, so that seq[k - j] still holds
-    the earlier terms only.  Those reach index ``reach`` at most (the sum of
-    their ``top``s), so j starts at k - reach.  Weights are cut at N as terms
-    are merged.
+    and not computed.  ``a`` keeps its sequence in ``_gammas`` and the Z-lift
+    of the last entry in ``_lift`` (over Z, that entry's own dict); equality
+    and hashing ignore both.  A request within the kept entries reads them,
+    and a longer one extends them in place from the last, so no index is
+    computed twice.  gamma_1 is kept as a copy of ``a``, never ``a`` itself,
+    so that ``a`` holds no reference to itself.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
     spec = element.spec
-    cap = spec.truncation
-    full = cap // min(map(spec.monomial_weight, element.terms), default=cap + 1)
-    live = min(n, full)
     kept = getattr(element, "_gammas", [])
-    if len(kept) >= live:
-        return kept[:n] + [zero(spec)] * (n - len(kept))
-    if kept:
-        live = full
-    seq = [{} for _ in range(live + 1)]  # seq[k]: raw terms of gamma_k; seq[0] unused
-    weight = {}
-    reach = 0  # seq[k] is empty for every k > reach
-    for mono, c in element.terms.items():
-        w = spec.monomial_weight(mono)
-        top = min(live, cap // w)
-        gammas = [None]
-        g = 1
-        for j in range(1, top + 1):
-            for _, e in mono:
-                g *= comb(j * e, e)
-            g = g // j * c
-            gammas.append((g, tuple((gen, j * e) for gen, e in mono), j * w))
-        for k in range(live, 0, -1):
-            out = seq[k]
-            for j in range(max(1, k - reach), min(k - 1, top) + 1):
-                gcoeff, gmono, gweight = gammas[j]
-                for m, v in seq[k - j].items():
-                    total = weight[m] + gweight
-                    if total > cap:
-                        continue
-                    binom, merged = mono_mul(m, gmono)
-                    weight[merged] = total
-                    out[merged] = out.get(merged, 0) + v * gcoeff * binom
-            if k <= top:  # gamma_k(c m) itself, times gamma_0 of the earlier terms
-                gcoeff, gmono, gweight = gammas[k]
-                weight[gmono] = gweight
-                out[gmono] = out.get(gmono, 0) + gcoeff
-        reach = min(live, reach + top)
-    normalize = spec.ring.normalize
-    element._gammas = [
-        DPElement._raw(spec, {m: r for m, c in terms.items() if (r := normalize(c))})
-        for terms in seq[1:]
-    ]
-    return element._gammas[:n] + [zero(spec)] * (n - live)
+    if n <= len(kept):
+        return kept[:n]
+    cap = spec.truncation
+    weigh = spec.monomial_weight
+    live = min(n, cap // min(map(weigh, element.terms), default=cap + 1))
+    if len(kept) < live:
+        if not kept:
+            kept = element._gammas = [DPElement._raw(spec, element.terms)]
+            element._lift = element.terms
+        modulus = spec.ring.modulus
+        factors = list(element.terms.items())
+        lift = element._lift
+        for k in range(len(kept) + 1, live + 1):
+            raw = {}
+            for m, v in lift.items():
+                room = cap - weigh(m)
+                for ma, ca in factors:
+                    if weigh(ma) <= room:
+                        binom, merged = mono_mul(ma, m)
+                        raw[merged] = raw.get(merged, 0) + ca * v * binom
+            lift = {m: q for m, c in raw.items() if (q := c // k)}
+            terms = {m: r for m, q in lift.items() if (r := q % modulus)} if modulus else lift
+            kept.append(DPElement._raw(spec, terms))
+        element._lift = lift
+    return kept[:n] + [zero(spec)] * (n - len(kept))
 
 
 def divided_power(n, element):
-    """gamma_n of an arbitrary element: the last entry of ``divided_powers``.
+    """gamma_n of an arbitrary element: entry n of ``divided_powers``.
 
-    Every term of gamma_n(a) weighs at least n times the least term weight of
-    a (zero has none), so past N it is zero without building n entries.
+    A kept entry is read as it is.  Otherwise every term of gamma_n(a) weighs
+    at least n times the least term weight of a (zero has none), so past N it
+    is zero without building n entries.
     """
     if n == 1:
         return element
+    kept = getattr(element, "_gammas", ())
+    if 1 < n <= len(kept):
+        return kept[n - 1]
     spec = element.spec
     least = min(map(spec.monomial_weight, element.terms), default=spec.truncation + 1)
     if n > 1 and n * least > spec.truncation:

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from dpalg.coeff import ZZ
+from dpalg import dpcore
+from dpalg.coeff import Ring, ZZ
 from dpalg.cli import omega_to_json, run
-from dpalg.dpcore import free_spec, gamma_gen
+from dpalg.dpcore import DPElement, divided_powers, free_spec, gamma_gen, mono_mul
 from dpalg.kahler import universal_derivation
 
 
@@ -53,11 +54,27 @@ def test_gamma_of_a_huge_index_is_zero_at_once(capsys):
 
 
 def test_gamma_of_a_long_one_term_sequence(capsys):
-    # gamma_n of one term is one monomial; the sequence skips the empty
-    # products with earlier terms, of which there are none.
+    # gamma_n of one term is one monomial, so each index is one product.
     code, out, _ = invoke(capsys, "gamma", "3000", "x1", "--trunc", "3000")
     assert code == 0
     assert out.strip() == "g3000(x1)"
+
+
+def test_one_term_divided_powers_make_one_product_per_index(capsys, monkeypatch):
+    # The README's O(n) promise for one term, counted rather than timed:
+    # gamma_k = a gamma_{k-1} / k is one monomial product for each k >= 2.
+    products = []
+    monkeypatch.setattr(dpcore, "mono_mul", lambda a, b: products.append(1) or mono_mul(a, b))
+    code, out, _ = invoke(capsys, "gamma", "8000", "x1", "--trunc", "8000")
+    assert code == 0
+    assert out.strip() == "g8000(x1)"
+    assert len(products) == 7999
+    spec = free_spec(Ring(4), 2, 40, weights=(1, 2))
+    for term in (gamma_gen(spec, 1, 1), (gamma_gen(spec, 0, 2) * gamma_gen(spec, 1, 1)).scale(3)):
+        for n in (1, 2, 7, 10):
+            del products[:]
+            assert len(divided_powers(n, DPElement(spec, dict(term.terms)))) == n
+            assert len(products) == n - 1
 
 
 def test_diff_command_matches_example(capsys):

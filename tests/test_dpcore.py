@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from dpalg import dpcore
 from dpalg.coeff import Ring, ZZ
 from dpalg.dpcore import (
     AlgebraSpec,
@@ -17,6 +18,7 @@ from dpalg.dpcore import (
     free_spec,
     from_terms,
     gamma_gen,
+    mono_mul,
     position_index,
     random_element,
     zero,
@@ -111,8 +113,8 @@ def test_power_identity_on_general_elements():
     # Every entry of divided_powers against independent routes: over Z,
     # k! gamma_k(a) = a^k by repeated multiplication; over Z/4 and Z/6, the
     # entries are those of the lifted element over Z, reduced.  Elements of up
-    # to four terms with arbitrary coefficients exercise the order in which
-    # the exponential law absorbs terms and its c^j scaling of each term.
+    # to four terms with arbitrary coefficients exercise the exact division by
+    # k and, over Z/m, the recurrence on the Z-lift rather than the residues.
     rng = random.Random(77)
     for weights in ((1, 1), (1, 2)):
         spec = free_spec(ZZ, 2, 8, weights=weights)
@@ -268,22 +270,32 @@ def test_divided_powers_compute_only_indices_that_can_be_nonzero():
     assert divided_powers(5, nothing) == [zero(spec)] * 5 and not hasattr(nothing, "_gammas")
 
 
-def test_divided_powers_rerun_computes_the_whole_sequence():
-    # A first request computes only what it asks for; a longer one replaces
-    # the kept sequence by every index up to N // least term weight, so later
-    # requests of any length read it and nothing is computed a third time.
-    spec = free_spec(ZZ, 2, 9, weights=(1, 2))
-    a = gamma_gen(spec, 0, 1) + gamma_gen(spec, 1, 1)
-    assert len(divided_powers(2, a)) == 2 and len(a._gammas) == 2
-    three = divided_powers(3, a)
-    assert len(three) == 3 and len(a._gammas) == 9
-    kept = a._gammas
-    for n in (4, 9, 12):
-        longer = divided_powers(n, a)
-        assert len(longer) == n and a._gammas is kept
-        assert all(x is y for x, y in zip(longer, kept))
-    assert three == kept[:3]
-    assert [g.is_zero() for g in kept] == [False] * 9
+def test_divided_powers_extend_the_kept_sequence_in_place(monkeypatch):
+    # A longer request keeps every earlier entry as the same object and
+    # computes only the new indices: it makes as many monomial products as a
+    # fresh equal element needs for the longer request, less those for the
+    # shorter one.  gamma_1 is kept as a copy: no entry is the element itself.
+    spec = free_spec(Ring(6), 2, 9, weights=(1, 2))
+    x, y = gamma_gen(spec, 0, 1), gamma_gen(spec, 1, 1)
+    a = x.scale(5) + y + x * y.scale(3)
+    products = []
+    monkeypatch.setattr(dpcore, "mono_mul", lambda m1, m2: products.append(1) or mono_mul(m1, m2))
+
+    def products_of(n, element):
+        before = len(products)
+        divided_powers(n, element)
+        return len(products) - before
+
+    def fresh():
+        return DPElement(spec, dict(a.terms))
+
+    assert products_of(2, a) > 0 and len(a._gammas) == 2
+    earlier = list(a._gammas)
+    extension = products_of(5, a)
+    assert len(a._gammas) == 5 and all(g is h for g, h in zip(earlier, a._gammas))
+    assert extension == products_of(5, fresh()) - products_of(2, fresh()) > 0
+    assert products_of(4, a) == 0
+    assert all(g is not a for g in a._gammas) and a._gammas[0] == a
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
