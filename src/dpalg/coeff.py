@@ -8,20 +8,39 @@ never computed by modular division, since the denominators may share factors
 with the modulus.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, factorial, gcd
 
+from .record import FrozenRecord
 
-@dataclass(frozen=True)
-class Ring:
-    """Z when ``modulus`` is 0, otherwise Z/modulus (modulus >= 2)."""
 
-    modulus: int = 0
+class Ring(FrozenRecord):
+    """Z when ``modulus`` is 0, otherwise Z/modulus (modulus >= 2).
 
-    def __post_init__(self):
-        if self.modulus < 0 or self.modulus == 1:
-            raise ValueError(f"modulus must be 0 (for Z) or >= 2, got {self.modulus}")
+    An immutable, hashable slotted value: rings of equal modulus are equal
+    and hash equal, the hash computed once; a Ring equals no other type.
+    """
+
+    __slots__ = ("modulus", "_key", "_hash")
+    _fields = ("modulus",)
+
+    def __init__(self, modulus=0):
+        if modulus < 0 or modulus == 1:
+            raise ValueError(f"modulus must be 0 (for Z) or >= 2, got {modulus}")
+        key = (modulus,)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Ring:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def normalize(self, value):
         return value if self.modulus == 0 else value % self.modulus

@@ -28,35 +28,51 @@ g2(x1) + x1*x2 + g2(x2)
 2*x1, 4*g2(x1), 8*g3(x1)
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .coeff import Ring, ZZ, gamma_compose_coeff
+from .coeff import ZZ, gamma_compose_coeff
+from .record import FrozenRecord
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(FrozenRecord):
     """Free DP algebra on len(weights) generators, truncated above weight N.
 
-    ``_weight_of`` memoizes ``monomial_weight``; equality, hashing and the
-    repr ignore it.
+    An immutable, hashable slotted value; ``weights`` is stored as a tuple.
+    Equal specs hash equal, the hash computed once, so they share every
+    cache keyed on the spec; a spec equals no other type.  ``_weight_of``
+    memoizes ``monomial_weight``; equality, hashing and the repr ignore it.
     """
 
-    ring: Ring
-    weights: tuple
-    truncation: int
-    _weight_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "weights", "truncation", "_weight_of", "_key", "_hash")
+    _fields = ("ring", "weights", "truncation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
+    def __init__(self, ring, weights, truncation):
+        weights = tuple(weights)
+        if not weights:
             raise ValueError("need at least one generator")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("generator weights must be positive")
-        if self.truncation < max(self.weights):
+        if truncation < max(weights):
             raise ValueError("truncation below a generator weight")
+        key = (ring, weights, truncation)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "_weight_of", {})
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not AlgebraSpec:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def generator_count(self):

@@ -27,9 +27,6 @@ image past N is never built.  presentation_relations returns (weight,
 element) pairs, so each relation goes straight to its weight's slice.
 """
 
-import random
-from dataclasses import dataclass
-
 from .coeff import primes_up_to
 from .dpcore import (
     basis_up_to,
@@ -53,18 +50,25 @@ from .envelope import (
 )
 from .beck import UModule
 from .linalg import spans_full_lattice
+from .record import FrozenRecord, Record
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class BasisEntry:
-    """(amono or unit) (x) phi (x) [label] with its Z-annihilator (0 or p)."""
+class BasisEntry(FrozenRecord):
+    """(amono or unit) (x) phi (x) [label] with its Z-annihilator (0 or p).
 
-    label: tuple
-    phi: tuple
-    amono: tuple | None
-    weight: int
-    annihilator: int
+    An immutable, hashable slotted value, equal to an entry of equal fields.
+    ``amono`` is None for the unit of A_+.
+    """
+
+    __slots__ = _fields = ("label", "phi", "amono", "weight", "annihilator")
+
+    def __init__(self, label, phi, amono, weight, annihilator):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "amono", amono)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "annihilator", annihilator)
 
     @property
     def key(self):
@@ -261,6 +265,8 @@ def is_dp_derivation(table, module, samples=200, seed=0):
     zero by construction) and q over the primes up to N (gamma_q vanishes
     above N).
     """
+    import random
+
     spec = module.spec
     phi_primes = sorted(module.phi_action)
     gamma_primes = primes_up_to(spec.truncation)
@@ -422,15 +428,17 @@ def phi_consequences_report(spec):
 # The relation presentation Omega = (U(A) (x) A)/S
 
 
-@dataclass
-class PresentationSlice:
+class PresentationSlice(Record):
     """One weight of the presentation: its ambient basis ``entries`` and its
     relation ``rows``, each a dict {column: value} over ``entries`` with
-    ascending columns and no zero values."""
+    ascending columns and no zero values.  A mutable slotted record."""
 
-    weight: int
-    entries: list
-    rows: list
+    __slots__ = _fields = ("weight", "entries", "rows")
+
+    def __init__(self, weight, entries, rows):
+        self.weight = weight
+        self.entries = entries
+        self.rows = rows
 
 
 def _on_label(element, label, phi=UNIT):

@@ -34,7 +34,6 @@ explicit representatives, so the divided-power structure is exercised on
 actual elements rather than formulas.
 """
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import gcd
 
@@ -70,6 +69,7 @@ from .linalg import (
     kernel_basis_mod,
     spans_full_lattice,
 )
+from .record import Record
 from .report import CheckReport
 
 
@@ -77,9 +77,9 @@ from .report import CheckReport
 # Coproduct
 
 
-@dataclass
-class Coproduct:
-    """A ∐ B realized as the free algebra on the concatenated generators.
+class Coproduct(Record):
+    """A ∐ B realized as the free algebra on the concatenated generators: a
+    mutable slotted record of the combined spec and the summands' specs.
 
     The inclusions send generator i of A to generator i, and generator i of B
     to generator ``left.generator_count + i``.  On distinct generators a DP map
@@ -87,9 +87,12 @@ class Coproduct:
     computed by renumbering rather than by evaluating the map.
     """
 
-    spec: object
-    left: object
-    right: object
+    __slots__ = _fields = ("spec", "left", "right")
+
+    def __init__(self, spec, left, right):
+        self.spec = spec
+        self.left = left
+        self.right = right
 
     def include_left(self, a):
         return self._include(a, self.left, 0)
@@ -155,8 +158,7 @@ def halves(spec, beta):
     return [(beta1, beta2) for _, beta1, beta2 in sorted(found)]
 
 
-@dataclass
-class Block:
+class Block(Record):
     """The coproduct monomials folding onto one monomial beta of A, the fold
     map on them (one row: the block has one target monomial), the HNF of its
     kernel and that HNF's last column ``last``; ``OmegaOracle`` adds the I^2
@@ -168,19 +170,27 @@ class Block:
     built.  A block that is not its own canonical block is a view: its
     ``domain`` and ``index`` are its own, the canonical domain relabeled in
     the same order, and every other field is the canonical block's object.
+    A mutable slotted record; the fields ``OmegaOracle`` adds start as None.
     """
 
-    weight: int
-    domain: list
-    index: dict
-    matrix: list
-    kernel: list
-    last: list
-    canonical: tuple
-    rows: list = None
-    relations: list = None
-    factors: tuple = None
-    phi: dict = None
+    __slots__ = _fields = (
+        "weight", "domain", "index", "matrix", "kernel", "last", "canonical",
+        "rows", "relations", "factors", "phi",
+    )
+
+    def __init__(self, weight, domain, index, matrix, kernel, last, canonical,
+                 rows=None, relations=None, factors=None, phi=None):
+        self.weight = weight
+        self.domain = domain
+        self.index = index
+        self.matrix = matrix
+        self.kernel = kernel
+        self.last = last
+        self.canonical = canonical
+        self.rows = rows
+        self.relations = relations
+        self.factors = factors
+        self.phi = phi
 
 
 def exponent_class(beta, weights):

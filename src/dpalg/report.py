@@ -1,13 +1,18 @@
 """Pass/fail records shared by the randomized checkers and the oracle."""
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class CheckRecord:
-    law: str
-    passed: bool
-    counterexample: str = ""
+class CheckRecord(Record):
+    """One check of ``law``: whether it passed and, if not, a counterexample.
+    A mutable slotted record."""
+
+    __slots__ = _fields = ("law", "passed", "counterexample")
+
+    def __init__(self, law, passed, counterexample=""):
+        self.law = law
+        self.passed = passed
+        self.counterexample = counterexample
 
     def to_json(self):
         out = {"law": self.law, "status": "pass" if self.passed else "fail"}
@@ -16,10 +21,15 @@ class CheckRecord:
         return out
 
 
-@dataclass
-class CheckReport:
-    title: str
-    records: list = field(default_factory=list)
+class CheckReport(Record):
+    """The records of the checks made under ``title``, in order; a fresh
+    list unless ``records`` is given.  A mutable slotted record."""
+
+    __slots__ = _fields = ("title", "records")
+
+    def __init__(self, title, records=None):
+        self.title = title
+        self.records = [] if records is None else records
 
     def record(self, law, passed, counterexample=""):
         self.records.append(CheckRecord(law, passed, counterexample))

@@ -3,6 +3,9 @@ docstring examples.  ``__init__`` is exempt: its imports are re-exports."""
 
 import ast
 import doctest
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,19 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse('"""\n>>> print(ZZ)\n"""\nfrom math import gcd, comb\nfrom .coeff import ZZ\ncomb(3, 1)\n')
     assert imported_names(tree) - loaded_names(tree) - docstring_example_names(tree) == {"gcd"}
+
+
+# Stdlib modules that cost start-up time every ``dpalg`` command would pay:
+# ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+# ``random`` is needed only by the randomized checkers, which import it.
+SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "random")
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    """``-S`` skips the site hooks, which may preload or hide modules."""
+    src = str(Path(dpalg.__file__).parents[1])
+    code = f"import sys, dpalg.cli; print(sorted(set(sys.modules) & {set(SLOW_STDLIB)!r}))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,14 +4,13 @@ fail the law that seam feeds.  A verifier whose checks could never fail would
 pass every test elsewhere; these show that each of its seven check families
 can."""
 
-from dataclasses import replace
-
 import pytest
 
 from dpalg import oracle as oracle_module
 from dpalg.cli import run
 from dpalg.coeff import ZZ
 from dpalg.dpcore import free_spec, from_terms
+from dpalg.kahler import BasisEntry
 from dpalg.oracle import OmegaOracle, verify_main_theorem
 
 SPEC = free_spec(ZZ, 2, 5)
@@ -26,7 +25,8 @@ def set_w2_phi_annihilator(monkeypatch, annihilator):
         first = next(i for i, e in enumerate(closed[2]) if e.phi)
         assert closed[2][first].annihilator == 2
         closed[2] = list(closed[2])
-        closed[2][first] = replace(closed[2][first], annihilator=annihilator)
+        e = closed[2][first]
+        closed[2][first] = BasisEntry(e.label, e.phi, e.amono, e.weight, annihilator)
         return closed
 
     monkeypatch.setattr(oracle_module, "omega_free_basis", corrupted)
