@@ -2,8 +2,12 @@
 
 A UModule is a left U(A)-module on an explicit finite basis: per-basis
 annihilators (0 = free cyclic summand), one integer table per algebra basis
-monomial, and one table per prime p for the phi_p operator.  Tables are given
-as rows and applied through their nonzero columns, computed once per module.
+monomial, and one table per prime p for the phi_p operator.  Columns are the
+one stored form of a table: column j holds the nonzero (row, value) pairs of
+the image of basis vector j, and the actions and every law read them.  A
+module is built from columns (UModule.from_columns) or from dense rows, which
+are turned into columns once; a_action and phi_action are dense views built
+on read.
 phi_p is additive and p-semilinear; semilinearity is enforced structurally by
 raising coordinates to the p-th power before the table is applied, so
 phi_p(r x) = r^p phi_p(x) holds by construction.
@@ -51,26 +55,42 @@ def _image(columns, pairs, out=None):
 
 
 class UModule:
-    """Finitely generated U(A)-module; tables given as rows are applied by nonzero columns."""
+    """Finitely generated U(A)-module whose tables are stored as nonzero columns.
+
+    ``UModule(spec, annihilators, a_action=rows, phi_action=rows)`` takes each
+    table as rank x rank rows; ``from_columns`` takes the stored form itself.
+    """
 
     def __init__(self, spec, annihilators, a_action=None, phi_action=None):
+        self._build(spec, annihilators, a_action or {}, phi_action or {}, self._columns)
+
+    @classmethod
+    def from_columns(cls, spec, annihilators, a_columns=None, phi_columns=None):
+        """A module from its stored form: per key, ``rank`` columns, column j
+        the nonzero (row, value) pairs of the image of basis vector j in
+        ascending row order."""
+        module = object.__new__(cls)
+        module._build(spec, annihilators, a_columns or {}, phi_columns or {}, module._checked_columns)
+        return module
+
+    def _build(self, spec, annihilators, a_tables, phi_tables, columns):
+        """Check the annihilators and the table keys, then store each table as
+        ``columns(key, table)``."""
         self.spec = spec
         self.annihilators = tuple(annihilators)
         if any(d < 0 for d in self.annihilators):
             raise ValueError(f"annihilators {self.annihilators} must be >= 0 (0 = free)")
         self.moduli = tuple(spec.ring.effective_annihilator(d) for d in self.annihilators)
         self._torsion = tuple((i, d) for i, d in enumerate(self.moduli) if d)
-        self.a_action = dict(a_action or {})
-        self.phi_action = dict(phi_action or {})
-        monomials = set(basis_up_to(spec)) if self.a_action else set()
-        for mono in self.a_action:
+        monomials = set(basis_up_to(spec)) if a_tables else set()
+        for mono in a_tables:
             if mono not in monomials:
                 raise ValueError(f"a_action key {mono} is not a basis monomial of the algebra")
-        for p in self.phi_action:
+        for p in phi_tables:
             if not is_prime(p):
                 raise ValueError(f"phi_action key {p} is not a prime")
-        self._a_columns = {m: self._columns(m, rows) for m, rows in self.a_action.items()}
-        self._phi_columns = {p: self._columns(p, rows) for p, rows in self.phi_action.items()}
+        self._a_columns = {m: columns(m, table) for m, table in a_tables.items()}
+        self._phi_columns = {p: columns(p, table) for p, table in phi_tables.items()}
 
     def _columns(self, key, rows):
         """Column j as its nonzero (row, entry) pairs: the image of basis vector j."""
@@ -83,6 +103,41 @@ class UModule:
             for j in compress(positions, row):
                 columns[j].append((i, row[j]))
         return columns
+
+    def _checked_columns(self, key, columns):
+        """``columns`` as a list, once each column is checked to be nonzero
+        pairs with rows ascending in 0..rank-1."""
+        n = self.rank
+        if len(columns) != n:
+            raise ValueError(f"table {key} has {len(columns)} columns, not {n}")
+        for j in compress(range(n), columns):
+            column = columns[j]
+            rows = [i for i, _ in column]
+            if any(not 0 <= i < n for i in rows):
+                raise ValueError(f"table {key}, column {j}: a row index lies outside 0..{n - 1}")
+            if rows != sorted(set(rows)):
+                raise ValueError(f"table {key}, column {j}: rows are not strictly ascending")
+            if not all(v for _, v in column):
+                raise ValueError(f"table {key}, column {j}: a value is 0")
+        return list(columns)
+
+    def _rows(self, columns):
+        """The dense rank x rank rows, as tuples, of a table given by columns."""
+        rows = [[0] * self.rank for _ in columns]
+        for j, column in enumerate(columns):
+            for i, v in column:
+                rows[i][j] = v
+        return [tuple(row) for row in rows]
+
+    @property
+    def a_action(self):
+        """Dense view, built on each read: monomial -> the table's rows."""
+        return {m: self._rows(columns) for m, columns in self._a_columns.items()}
+
+    @property
+    def phi_action(self):
+        """Dense view, built on each read: prime -> the table's rows."""
+        return {p: self._rows(columns) for p, columns in self._phi_columns.items()}
 
     @property
     def rank(self):
@@ -362,17 +417,12 @@ def u0_module(spec, degree_cap):
     """U(0) itself, truncated above ``degree_cap``, as a module with zero A-action."""
     basis = u0_basis_up_to(degree_cap, spec.ring)
     index = {phi: i for i, (phi, _) in enumerate(basis)}
-    n = len(basis)
     anns = tuple(ann for _, ann in basis)
-    phi_action = {}
+    phi_columns = {}
     for p in sorted({phi[0] for phi, _ in basis if phi != UNIT}):
-        rows = [[0] * n for _ in range(n)]
-        for source, (phi, _) in enumerate(basis):
-            target = phi_mul((p, 1), phi)
-            if target in index:
-                rows[index[target]][source] = 1
-        phi_action[p] = rows
-    return UModule(spec, anns, phi_action=phi_action)
+        targets = [index.get(phi_mul((p, 1), phi)) for phi, _ in basis]
+        phi_columns[p] = [[] if i is None else [(i, 1)] for i in targets]
+    return UModule.from_columns(spec, anns, phi_columns=phi_columns)
 
 
 def mixed_torsion_module(spec):

@@ -16,7 +16,6 @@ coefficient is the term with empty "monomial" and aug_scalar = coeff.
 """
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -148,9 +147,15 @@ def build_spec(args):
     return AlgebraSpec(args.ring, weights, args.trunc)
 
 
+def _print_json(payload):
+    import json  # only --json output needs it, so other commands skip its import
+
+    print(json.dumps(payload, indent=2))
+
+
 def _emit_report(report, as_json):
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
     else:
         print(report.summary())
     return 0 if report.passed else CHECK_FAILURE
@@ -172,14 +177,11 @@ def run(argv):
                     raise EvalError("gamma index must be >= 1")
                 element = divided_power(args.n, element)
             if args.command == "diff":
-                omega = universal_derivation(element)
-                print(json.dumps(omega_to_json(omega), indent=2) if args.json else omega)
+                element = universal_derivation(element)
+            if args.json:
+                _print_json((omega_to_json if args.command == "diff" else element_to_json)(element))
             else:
-                print(
-                    json.dumps(element_to_json(element), indent=2)
-                    if args.json
-                    else element
-                )
+                print(element)
             return 0
 
         if args.command == "omega-basis":
@@ -202,7 +204,7 @@ def run(argv):
                         for w in sorted(slices)
                     },
                 }
-                print(json.dumps(payload, indent=2))
+                _print_json(payload)
             else:
                 for w in sorted(slices):
                     entries = ", ".join(
@@ -225,7 +227,7 @@ def run(argv):
                         for gen, ann in per_weight[w]
                     ],
                 }
-                print(json.dumps(payload, indent=2))
+                _print_json(payload)
             else:
                 for w in sorted(per_weight):
                     if not per_weight[w]:

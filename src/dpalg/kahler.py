@@ -180,11 +180,12 @@ def omega_as_umodule(spec):
     The action is graded: a monomial of weight w takes a basis element of
     weight v to weight v + w, and phi_p takes it to weight p * v, so only the
     pairs with that weight at most N are acted on (the basis ascends in
-    weight, so the first pair past N ends a scan).  Each image is written
-    straight into its table, column j the image of basis element j; a row
-    is allocated at its first nonzero entry, the rows that stay zero share
-    one tuple, and a table that stays zero is left out.  Tables are keyed
-    in basis order, then in prime order.
+    weight, so the first pair past N ends a scan).  Each image's terms become
+    a column of its table, column j the image of basis element j as its
+    (row, value) pairs, which is the stored form of ``UModule.from_columns``:
+    no dense row is built.  A table whose columns are all empty is left out.
+    Tables are keyed in basis order, then in prime order; ``a_action`` and
+    ``phi_action`` are their dense views.
 
     >>> from dpalg import ZZ, free_spec
     >>> module = omega_as_umodule(free_spec(ZZ, 1, 3))
@@ -198,36 +199,28 @@ def omega_as_umodule(spec):
     entries = omega_basis_all(spec)
     index = basis_index(entries)
     anns = tuple(e.annihilator for e in entries)
-    rank = len(entries)
-    zero = (0,) * rank
     elements = [(e.weight, e.element(spec)) for e in entries]
 
     def table(act, top):
-        """The rows of ``act``, None if zero, from its images of the basis
-        elements of weight <= top; a row is allocated at its first entry."""
-        rows = {}
+        """The columns of ``act``, None if all are empty, from its images of
+        the basis elements of weight <= top."""
+        columns = [()] * len(elements)
         for j, (v, el) in enumerate(elements):
             if v > top:
                 break
-            for key, c in act(el).terms.items():
-                i = index[key]
-                if i not in rows:
-                    rows[i] = [0] * rank
-                rows[i][j] = c
-        if rows:
-            return [tuple(rows[i]) if i in rows else zero for i in range(rank)]
-        return None
+            columns[j] = sorted([(index[key], c) for key, c in act(el).terms.items()])
+        return columns if any(columns) else None
 
-    a_action = {}
+    a_columns = {}
     for mono in basis_up_to(spec):
         a_el = from_terms(spec, {mono: 1})
-        if rows := table(lambda el: el.act_algebra(a_el), cap - spec.monomial_weight(mono)):
-            a_action[mono] = rows
-    phi_action = {}
+        if columns := table(lambda el: el.act_algebra(a_el), cap - spec.monomial_weight(mono)):
+            a_columns[mono] = columns
+    phi_columns = {}
     for p in primes_up_to(cap):
-        if rows := table(lambda el: el.act_phi(p), cap // p):
-            phi_action[p] = rows
-    return UModule(spec, anns, a_action=a_action, phi_action=phi_action)
+        if columns := table(lambda el: el.act_phi(p), cap // p):
+            phi_columns[p] = columns
+    return UModule.from_columns(spec, anns, a_columns, phi_columns)
 
 
 def universal_derivation_table(spec):
@@ -268,7 +261,7 @@ def is_dp_derivation(table, module, samples=200, seed=0):
     import random
 
     spec = module.spec
-    phi_primes = sorted(module.phi_action)
+    phi_primes = sorted(module._phi_columns)
     gamma_primes = primes_up_to(spec.truncation)
     rng = random.Random(seed)
     report = CheckReport(f"DP derivation laws over {spec.ring} (rank {spec.generator_count})")

@@ -245,35 +245,95 @@ def _random_module(spec, rank, seed):
     return UModule(spec, annihilators, a_action=a_action, phi_action={2: table(), 3: table()})
 
 
+RANDOM_MODULES = [
+    _random_module(free_spec(ZZ, 2, 4), 6, seed=1),
+    _random_module(free_spec(Ring(6), 2, 4), 6, seed=2),
+]
+
+
 @pytest.mark.parametrize(
     "module",
-    [
-        _random_module(free_spec(ZZ, 2, 4), 6, seed=1),
-        _random_module(free_spec(Ring(6), 2, 4), 6, seed=2),
-        omega_as_umodule(free_spec(Ring(6), 2, 4)),
-    ],
+    RANDOM_MODULES + [omega_as_umodule(free_spec(Ring(6), 2, 4))],
     ids=["random-Z", "random-Z/6", "omega-2-4-Z/6"],
 )
 def test_sparse_actions_match_dense_reference(module):
     spec = module.spec
     rng = random.Random(23)
     zero_rows = [[0] * module.rank for _ in range(module.rank)]
+    a_action, phi_action = module.a_action, module.phi_action  # each read builds the view
     for _ in range(30):
         # unreduced coordinates, so the reference and the kernel both reduce
         vec = tuple(rng.choice((0, 0, rng.randint(-20, 20))) for _ in range(module.rank))
         for mono in basis_up_to(spec):
-            rows = module.a_action.get(mono, zero_rows)
+            rows = a_action.get(mono, zero_rows)
             assert module.act(from_terms(spec, {mono: 1}), vec) == _dense_apply(module, rows, vec), mono
         a = random_element(spec, rng)
         expected = module.zero_vec()
         for mono, c in a.terms.items():
-            rows = module.a_action.get(mono, zero_rows)
+            rows = a_action.get(mono, zero_rows)
             expected = module.add_vec(expected, module.scale_vec(c, _dense_apply(module, rows, vec)))
         assert module.act(a, vec) == expected, str(a)
         for p in (2, 3, 5):
-            rows = module.phi_action.get(p, zero_rows)
+            rows = phi_action.get(p, zero_rows)
             powered = tuple(v**p for v in vec)
             assert module.phi_p(p, vec) == _dense_apply(module, rows, powered), p
+
+
+@pytest.mark.parametrize(
+    "module",
+    RANDOM_MODULES + MODULE_ZOO,
+    ids=["random-Z", "random-Z/6"] + [f"zoo-rank{m.rank}-{m.spec.ring}" for m in MODULE_ZOO],
+)
+def test_module_rebuilt_from_its_columns_acts_the_same(module):
+    spec = module.spec
+    rebuilt = UModule.from_columns(spec, module.annihilators, module._a_columns, module._phi_columns)
+    assert rebuilt.a_action == module.a_action
+    assert rebuilt.phi_action == module.phi_action
+    rng = random.Random(29)
+    for _ in range(20):
+        vec = module.random_vec(rng)
+        a = random_element(spec, rng)
+        assert rebuilt.act(a, vec) == module.act(a, vec), str(a)
+        for p in (2, 3, 5):
+            assert rebuilt.phi_p(p, vec) == module.phi_p(p, vec), p
+
+
+def test_dense_views_give_back_the_rows():
+    rng = random.Random(31)
+    tables = [[[rng.choice((0, 0, 0, 1, -1, 2, 5)) for _ in range(6)] for _ in range(6)] for _ in range(3)]
+    x, y = basis_up_to(SPEC)[:2]
+    module = UModule(SPEC, (0, 2, 3, 0, 4, 6), a_action={y: tables[0], x: tables[1]}, phi_action={3: tables[2]})
+    assert module.a_action == {y: [tuple(row) for row in tables[0]], x: [tuple(row) for row in tables[1]]}
+    assert list(module.a_action) == [y, x]
+    assert module.phi_action == {3: [tuple(row) for row in tables[2]]}
+
+
+@pytest.mark.parametrize(
+    "a_columns, phi_columns, message",
+    [
+        ({((0, 1),): [[], []]}, {}, "table ((0, 1),) has 2 columns, not 3"),
+        ({}, {2: [[], [(3, 1)], []]}, "table 2, column 1: a row index lies outside 0..2"),
+        ({}, {3: [[(-1, 1)], [], []]}, "table 3, column 0: a row index lies outside 0..2"),
+        ({((0, 1),): [[], [], [(0, 1), (0, 2)]]}, {}, "table ((0, 1),), column 2: rows are not strictly ascending"),
+        ({}, {2: [[(2, 1), (1, 1)], [], []]}, "table 2, column 0: rows are not strictly ascending"),
+        ({}, {2: [[], [(0, 1), (1, 0)], []]}, "table 2, column 1: a value is 0"),
+        ({((0, 7),): [[], [], []]}, {}, "a_action key ((0, 7),) is not a basis monomial"),
+        ({}, {4: [[], [], []]}, "phi_action key 4 is not a prime"),
+    ],
+    ids=["count", "row-high", "row-negative", "row-repeated", "rows-descending", "zero", "monomial", "prime"],
+)
+def test_from_columns_rejects_malformed_tables(a_columns, phi_columns, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        UModule.from_columns(SPEC, (0, 2, 3), a_columns, phi_columns)
+
+
+def test_omega_and_u0_modules_build_no_dense_rows(monkeypatch):
+    def refuse(self, key, rows):
+        raise AssertionError(f"table {key} went through dense rows")
+
+    monkeypatch.setattr(UModule, "_columns", refuse)
+    assert omega_as_umodule(free_spec(Ring(6), 2, 4)).rank == 40
+    assert u0_module(SPEC, 6).phi_action.keys() == {2, 3, 5}
 
 
 def test_tables_must_be_rank_by_rank():

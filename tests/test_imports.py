@@ -55,8 +55,9 @@ def test_an_unused_import_is_caught():
 
 # Stdlib modules that cost start-up time every ``dpalg`` command would pay:
 # ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-# ``random`` is needed only by the randomized checkers, which import it.
-SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "random")
+# ``random`` is needed only by the randomized checkers, which import it, and
+# ``json`` only by ``--json`` output, which imports it.
+SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "random", "json")
 
 
 def test_cli_import_loads_no_slow_stdlib_module():
