@@ -140,6 +140,28 @@ def spans_full_lattice(rows, ncols):
     return len(hnf) == ncols and all(row[i] == 1 for i, row in enumerate(hnf))
 
 
+def spans_full_lattice_with(hnf, rows, ncols):
+    """Whether ``rows`` together with the ``HermiteBasis`` ``hnf`` span all
+    of Z^ncols: ``spans_full_lattice([*rows, *hnf], ncols)``, decided on the
+    non-unit-pivot core of ``hnf`` (see ``unit_pivot_split``).
+
+    A unit pivot row e_c + (entries off the unit pivot columns) splits off
+    with its column, so each row is reduced by the unit pivot rows at its
+    unit-pivot-column entries, which leaves those entries 0, and projected
+    onto the remaining columns, where it joins the core.
+    """
+    units, kept, core = unit_pivot_split(hnf, ncols)
+    reduced = []
+    for r in rows:
+        v = list(r)
+        for pcol, row, support in units:
+            if q := v[pcol]:
+                for j in support:
+                    v[j] -= q * row[j]
+        reduced.append([v[j] for j in kept])
+    return spans_full_lattice([*reduced, *core], len(kept))
+
+
 def kernel_basis_mod(rows, ncols, modulus):
     """Hermite basis of the lattice {v in Z^ncols : M v = 0 mod ``modulus``}.
 
@@ -209,6 +231,35 @@ def smith_diagonal(hnf, ncols):
     return [1] * (len(hnf) - len(chain)) + list(chain)
 
 
+def unit_pivot_split(hnf, ncols):
+    """Split the ``HermiteBasis`` ``hnf`` at its unit pivots: (units, kept,
+    core).
+
+    A pivot equal to 1 is the only nonzero entry of its column (entries above
+    it are reduced into [0, 1), echelon form puts zeros below it), so column
+    operations clear its row without touching any other: the row and its
+    column split off as a Z/1 summand.  ``units`` lists (pivot column, row,
+    support) of those rows, ``kept`` the other columns, and ``core`` the
+    other rows restricted to ``kept``: deleting those rows and columns keeps
+    a Hermite form, with its pivots renumbered.
+    """
+    units = [(pcol, row, support) for pcol, row, support in zip(hnf.pivots, hnf, hnf.supports) if row[pcol] == 1]
+    unit_cols = {pcol for pcol, _, _ in units}
+    kept = [j for j in range(ncols) if j not in unit_cols]
+    position = {j: i for i, j in enumerate(kept)}
+    rest = [
+        (position[pcol], row, support)
+        for pcol, row, support in zip(hnf.pivots, hnf, hnf.supports)
+        if pcol in position
+    ]
+    core = HermiteBasis(
+        [[row[j] for j in kept] for _, row, _ in rest],
+        [p for p, _, _ in rest],
+        [[position[j] for j in support if j in position] for _, _, support in rest],
+    )
+    return units, kept, core
+
+
 def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     """Invariant factors of R^ncols (with per-column annihilators) modulo rows.
 
@@ -222,13 +273,9 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     ``HermiteBasis`` with nothing adjoined are used as they are: the Hermite
     form of a Hermite form is itself.
 
-    In the Hermite form of the relations a pivot equal to 1 is the only
-    nonzero entry of its column (entries above it are reduced into [0, 1),
-    echelon form puts zeros below it), so column operations clear its row
-    without touching any other: the row and its column split off as a Z/1
-    summand.  The Smith step sees only the core, the non-unit-pivot rows
-    restricted to the remaining columns: deleting those rows and columns
-    keeps a Hermite form, with its pivots renumbered.
+    A unit pivot of the Hermite form of the relations splits off its row and
+    column as a Z/1 summand, so the Smith step sees only the core
+    (``unit_pivot_split``).
     """
     adjoined = [{j: d} for j, d in enumerate(column_annihilators or ()) if d]
     if adjoined or not isinstance(relation_rows, HermiteBasis):
@@ -237,19 +284,7 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
         hnf = hermite_form([*relation_rows, *adjoined], ncols)
     else:
         hnf = relation_rows
-    units = {pcol for pcol, row in zip(hnf.pivots, hnf) if row[pcol] == 1}
-    kept = [j for j in range(ncols) if j not in units]
-    position = {j: i for i, j in enumerate(kept)}
-    rest = [
-        (position[pcol], row, support)
-        for pcol, row, support in zip(hnf.pivots, hnf, hnf.supports)
-        if pcol in position
-    ]
-    core = HermiteBasis(
-        [[row[j] for j in kept] for _, row, _ in rest],
-        [p for p, _, _ in rest],
-        [[position[j] for j in support if j in position] for _, _, support in rest],
-    )
+    _, kept, core = unit_pivot_split(hnf, ncols)
     diagonal = smith_diagonal(core, len(kept))
     return invariant_factor_chain(diagonal + [0] * (len(kept) - len(diagonal)), ring)
 

@@ -3,8 +3,9 @@
 Nothing here consults the closed forms: the coproduct is the free algebra on
 the doubled generator set, the fold map is evaluated monomial by monomial,
 its kernel I is computed by exact integer linear algebra, I^2 is spanned by
-pairwise products of kernel basis vectors, and quotients are compared purely
-through Smith normal form invariant factors.  All of these preserve the Z^k
+the products j * u of the ideal generators j = gamma_n(y_i) - gamma_n(x_i) of
+I with kernel basis vectors u, and quotients are compared purely through
+Smith normal form invariant factors.  All of these preserve the Z^k
 multidegree (``fold_degree``), so I, I^2 and I/I^2 are built, reduced and
 solved one block per monomial of A, and a weight's invariant factors merge
 those of its blocks.
@@ -13,28 +14,29 @@ A block depends only on the sorted (weight, exponent) pairs of its monomial
 beta: permuting generators of equal weight, on both coproduct copies, maps
 one block onto another.  So only the canonical block of each such exponent
 class is built (``exponent_class``); every other block is a view of it, with
-the relabeled domain in the same order, sharing its fold row, kernel, I^2
-rows, relations, factors and phi tables.  The kernel of a block's one-row
+the relabeled domain in the same order, sharing its fold row, kernel,
+relations, factors and phi tables.  The kernel of a block's one-row
 fold map has the Hermite basis e_i + t_i e_last, plus m e_last over Z/m,
 checked once per class, so kernel coordinates are read off by projection.
 An element of I that the verifiers read lies in one block, so its kernel
 coordinates are a pair (beta, coordinates over block beta's kernel basis).
-A canonical block beta builds its I^2 rows from its halves beta1 + beta2 =
-beta (``halves``): each product of kernel rows of blocks beta1 and beta2 is
-written straight into beta's coordinates through a table of that half's
-monomial products.  In the same pass it builds its gamma_p tables into
-block p*beta, which is canonical too.  A/A^2 splits into one-column blocks, one per monomial m,
-each cyclic of order the gcd of the modulus and the binomials of the
-products over m's halves.  The fold map is the only DP map evaluated
-generically (``dp_map_apply``); the coproduct inclusions send generators to
-distinct generators, so they just renumber each monomial, and
-``cokernel_factors`` runs Smith only on the non-unit-pivot core of the
-relation HNF.  The comparison maps into the closed-form module go through
-explicit representatives, so the divided-power structure is exercised on
-actual elements rather than formulas.
+A canonical block beta builds its I^2 rows from the splits beta = n e_i +
+rest with rest nonzero: each product of the generator j of block x_i^n with
+a kernel row of block rest is written straight into beta's coordinates
+through a table of j's monomial products.  In the same pass it builds its
+gamma_p tables into block p*beta, which is canonical too.  A/A^2 splits into
+one-column blocks, one per monomial m, each cyclic of order the gcd of the
+modulus and the binomials of the products over m's halves.  The fold map is
+the only DP map evaluated generically (``dp_map_apply``); the coproduct
+inclusions send generators to distinct generators, so they just renumber
+each monomial.  ``cokernel_factors`` and the surjectivity check run only on
+the non-unit-pivot core of the relation HNF.  The comparison maps into the
+closed-form module go through explicit representatives, so the
+divided-power structure is exercised on actual elements rather than
+formulas.
 """
 
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import gcd
 
 from .coeff import ZZ, primes_up_to
@@ -67,7 +69,7 @@ from .linalg import (
     in_lattice,
     invariant_factor_chain,
     kernel_basis_mod,
-    spans_full_lattice,
+    spans_full_lattice_with,
 )
 from .record import Record
 from .report import CheckReport
@@ -140,9 +142,8 @@ def fold_degree(mono, k):
 def halves(spec, beta):
     """The halves of beta: its splits beta1 + beta2 into nonzero monomials,
     each once, as (beta1, beta2) with beta1 first under ``monomial_sort_key``,
-    in that order of beta1.  Block beta of I^2 is spanned by the products of
-    the kernel rows of blocks beta1 and beta2 over beta's halves, and block
-    beta of A^2 by the products beta1 * beta2 themselves.
+    in that order of beta1.  Block beta of A^2 is spanned by the products
+    beta1 * beta2 over beta's halves.
 
     >>> from dpalg import free_spec
     >>> halves(free_spec(ZZ, 2, 3), ((0, 2), (1, 1)))
@@ -161,10 +162,11 @@ def halves(spec, beta):
 class Block(Record):
     """The coproduct monomials folding onto one monomial beta of A, the fold
     map on them (one row: the block has one target monomial), the HNF of its
-    kernel and that HNF's last column ``last``; ``OmegaOracle`` adds the I^2
-    rows in kernel coordinates, their HNF ``relations``, the invariant factors
-    of this block of I/I^2, and ``phi``: for each prime p <= N / weight, the
-    coordinates in block p*beta of gamma_p of each kernel row.
+    kernel and that HNF's last column ``last``; ``OmegaOracle`` adds
+    ``relations``, the HNF of the block of I^2 in kernel coordinates, the
+    invariant factors of this block of I/I^2, and ``phi``: for each prime
+    p <= N / weight, the coordinates in block p*beta of gamma_p of each
+    kernel row.
 
     ``canonical`` keys the block of this block's exponent class that was
     built.  A block that is not its own canonical block is a view: its
@@ -175,11 +177,11 @@ class Block(Record):
 
     __slots__ = _fields = (
         "weight", "domain", "index", "matrix", "kernel", "last", "canonical",
-        "rows", "relations", "factors", "phi",
+        "relations", "factors", "phi",
     )
 
     def __init__(self, weight, domain, index, matrix, kernel, last, canonical,
-                 rows=None, relations=None, factors=None, phi=None):
+                 relations=None, factors=None, phi=None):
         self.weight = weight
         self.domain = domain
         self.index = index
@@ -187,7 +189,6 @@ class Block(Record):
         self.kernel = kernel
         self.last = last
         self.canonical = canonical
-        self.rows = rows
         self.relations = relations
         self.factors = factors
         self.phi = phi
@@ -295,50 +296,69 @@ class OmegaOracle:
 
     Kernel coordinates of an element are a pair (beta, coordinates over block
     beta's kernel basis): every element the verifiers read lies in one block.
+
+    I^2 is built as J * I, with J the elements j = gamma_n(y_i) - gamma_n(x_i)
+    for n * w_i <= N, x_i and y_i generator i of the two copies of A (j is
+    ``derivation_rep`` of gamma_n(x_i)).  This is plain ring theory, with no
+    closed form.  Let K be the ideal J generates.  Modulo K each coproduct
+    monomial is congruent to in_1 of its fold image: replace each gamma_b(y_i)
+    factor by gamma_b(x_i).  So I lies in K, and K lies in I as J does.  Write
+    u in I as sum r_k m_k j_k, with m_k monomials and j_k in J.  Then u * v =
+    sum r_k j_k (m_k v), and each m_k v lies in I, so I * I = J * I, spanned
+    over the ring by the j * u with u a kernel row.  The argument holds over
+    Z/m as it stands.  Block beta of J * I is spanned by j * u over the splits
+    beta = n e_i + rest with rest nonzero, j in block x_i^n and u a kernel
+    row of block rest, which has lower weight and so was built before beta.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self.coproduct, self.blocks = fold_kernel(spec)
         normalize, modulus = spec.ring.normalize, spec.ring.modulus
+        k = spec.generator_count
         sparse = {}  # canonical block -> its kernel rows as nonzero (domain index, coefficient) pairs
         for beta, block in self.blocks.items():
             if block.canonical != beta:  # its canonical block came first
                 rep = self.blocks[block.canonical]
-                block.rows, block.relations = rep.rows, rep.relations
-                block.factors, block.phi = rep.factors, rep.phi
+                block.relations, block.factors, block.phi = rep.relations, rep.factors, rep.phi
                 continue
             # A row in m Z^B has no nonzero pair, and only zero products, so it is left out.
             nonzero = ([(a, c) for a, c in enumerate(map(normalize, row)) if c] for row in block.kernel)
             sparse[beta] = [pairs for pairs in nonzero if pairs]
-            # u * v for kernel rows u, v of a half (beta1, beta2), written into
-            # this block's coordinates through the half's table: per pair of
-            # domain positions, their product's position and binomial.
-            block.rows = []
-            for beta1, beta2 in halves(spec, beta):
-                left, right = self.blocks[beta1], self.blocks[beta2]
-                products = ((mono_mul(x, y) for y in right.domain) for x in left.domain)
-                table = [[(block.index[m], c) for c, m in ys] for ys in products]
-                us, vs = sparse[left.canonical], sparse[right.canonical]
-                for u, v in combinations_with_replacement(us, 2) if beta1 == beta2 else product(us, vs):
-                    total = {}
-                    for a, c in u:
-                        line = table[a]
-                        for b, d in v:
-                            i, binom = line[b]
-                            total[i] = total.get(i, 0) + c * d * binom
-                    if entries := {i: x for i, c in total.items() if (x := normalize(c))}:
-                        block.rows.append(_kernel_coords(block, entries))
+            # j * u for j = gamma_n(y_i) - gamma_n(x_i) and u a kernel row of
+            # block rest = beta - n e_i, written into this block's coordinates
+            # through a table: per domain position of rest, the positions and
+            # binomials of gamma_n(y_i) m and gamma_n(x_i) m.
+            rows = []
+            for i, e in beta:
+                for n in range(1, e + 1):
+                    rest = tuple((g, f - n * (g == i)) for g, f in beta if g != i or f > n)
+                    if not rest:
+                        continue
+                    part = self.blocks[rest]
+                    table = []
+                    for m in part.domain:
+                        by, my = mono_mul(((i + k, n),), m)
+                        bx, mx = mono_mul(((i, n),), m)
+                        table.append((block.index[my], by, block.index[mx], bx))
+                    for u in sparse[part.canonical]:
+                        total = {}
+                        for a, c in u:
+                            at_y, by, at_x, bx = table[a]
+                            total[at_y] = total.get(at_y, 0) + c * by
+                            total[at_x] = total.get(at_x, 0) - c * bx
+                        if entries := {pos: x for pos, v in total.items() if (x := normalize(v))}:
+                            rows.append(tuple(_kernel_coords(block, entries)))
             if modulus:  # m Z^B lies in the lifted kernel; quotient by it too:
                 # m e_j = m (e_j + t_j e_last) - t_j (m e_last), m e_last the last row.
                 end = len(block.domain) - 1
                 for j, t in enumerate(block.last[:end]):
-                    block.rows.append([modulus * (i == j) for i in range(end)] + [-t])
-                block.rows.append([0] * end + [1])
+                    rows.append(tuple([modulus * (i == j) for i in range(end)] + [-t]))
+                rows.append(tuple([0] * end + [1]))
             # One reduction per class: the factors, class tests and the
-            # surjectivity check all start from this HNF.  Most product rows
-            # repeat, and a repeat adds nothing to the lattice.
-            block.relations = hermite_form(list(dict.fromkeys(map(tuple, block.rows))), len(block.kernel))
+            # surjectivity check all start from this HNF.  A repeated row adds
+            # nothing to the lattice.
+            block.relations = hermite_form(list(dict.fromkeys(rows)), len(block.kernel))
             block.factors = cokernel_factors(len(block.kernel), block.relations, ZZ)
             # gamma_p of each kernel row, read in block p*beta: canonical as
             # beta is, and a view relabels beta and p*beta alike, so its
@@ -474,7 +494,7 @@ def verify_main_theorem(spec):
                 rows = images.get(beta, [])
                 key = (block.canonical, frozenset(map(tuple, rows)))
                 if key not in spans:
-                    spans[key] = spans_full_lattice([*rows, *block.relations], len(block.kernel))
+                    spans[key] = spans_full_lattice_with(block.relations, rows, len(block.kernel))
         report.check(f"comparison map surjective (w={w})", all(spans.values()), True)
 
     # d-compatibility: the closed-form universal derivation matches

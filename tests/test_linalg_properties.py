@@ -16,7 +16,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from dpalg.coeff import Ring
-from dpalg.linalg import cokernel_factors, hermite_form, in_lattice, kernel_basis_mod, smith_diagonal
+from dpalg.linalg import (
+    cokernel_factors,
+    hermite_form,
+    in_lattice,
+    kernel_basis_mod,
+    smith_diagonal,
+    spans_full_lattice,
+    spans_full_lattice_with,
+)
 from test_linalg import _reference_cokernel_factors, determinant
 
 
@@ -224,3 +232,28 @@ def test_cokernel_factors_mod_m_match_adjoining_every_m_e_j(modulus, case):
     ring = Ring(modulus)
     expected = _reference_cokernel_factors(ncols, [_dense(r, ncols) for r in rows], ring, anns)
     assert cokernel_factors(ncols, rows, ring, anns) == expected
+
+
+@st.composite
+def lattices_with_images(draw):
+    """(relation rows, image rows, ncols): relations with entries in [-6, 6],
+    whose Hermite forms often have unit pivots, and up to three image rows
+    with entries in [-2, 2]."""
+    rows, ncols = draw(matrices(8, 6))
+    entries = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    return rows, draw(st.lists(entries, max_size=3)), ncols
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(lattices_with_images())
+@example(([], [], 3))
+@example(([[1, 2, 0], [0, 2, 1]], [], 3))  # one unit pivot, and a core of 2
+@example(([[1, 2, 0], [0, 2, 1]], [[0, 1, 0]], 3))  # e_1 closes the core
+@example(([[1, 0, 2], [0, 3, 1]], [[1, 1, 2]], 3))  # spans only after the unit reduction
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [], 3))  # all unit pivots: no core
+def test_spans_full_lattice_with_matches_stacking_the_rows(case):
+    """Deciding on the non-unit-pivot core, after reducing the images by the
+    unit pivot rows, agrees with one Hermite form of everything stacked."""
+    relations, images, ncols = case
+    hnf = hermite_form(relations, ncols)
+    assert spans_full_lattice_with(hnf, images, ncols) == spans_full_lattice([*images, *hnf], ncols)

@@ -361,7 +361,7 @@ def test_gradewise_stability_under_deeper_truncation(rank, weights, ring):
             assert block.matrix == deeper.matrix, beta
             assert block.kernel == deeper.kernel, beta
             assert block.factors == deeper.factors, beta
-            assert sorted(block.rows) == sorted(deeper.rows), beta
+            assert block.relations == deeper.relations, beta
             for p, table in block.phi.items():
                 assert deeper.phi[p] == table, (beta, p)
 
@@ -423,10 +423,10 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
             rows += [solve_in_lattice(kernel, [modulus * (i == j) for i in range(len(domain))])
                      for j in range(len(domain))]
         assert oracle.factors(w) == cokernel_factors(len(kernel), rows, ZZ)
-        # The block rows assembled block-diagonally over the whole weight.
+        # The block relations assembled block-diagonally over the whole weight.
         assembled, offset, width = [], 0, sum(len(b.kernel) for _, b in blocks)
         for _, block in blocks:
-            assembled += [[0] * offset + row + [0] * (width - offset - len(row)) for row in block.rows]
+            assembled += [[0] * offset + row + [0] * (width - offset - len(row)) for row in block.relations]
             offset += len(block.kernel)
         assert oracle.factors(w) == cokernel_factors(width, assembled, ZZ)
         elements[w] = [from_terms(co.spec, dict(zip(domain, row))) for row in kernel]
@@ -451,54 +451,66 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
             assert str(beta_u) in str(refused.value) and str(beta_v) in str(refused.value)
 
 
-BLOCK_SETTINGS = [(1, 8, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2)), (4, 5, None), (3, 6, (1, 1, 2))]
-
-
-@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
-@pytest.mark.parametrize("rank, truncation, weights", BLOCK_SETTINGS)
-def test_block_rows_match_products_of_kernel_elements(rank, truncation, weights, ring):
-    # The reference multiplies the kernel rows as coproduct elements, over
-    # unordered pairs of weights summing to w (lighter factor first), sends
-    # each nonzero product to the block of its fold degree and solves it
-    # there; over Z/m the rows of m Z^B follow.  A canonical block's rows
-    # must agree in content and in order.  A view shares the rows of its
-    # class's canonical block, in that block's product order, so it agrees
-    # as a multiset.  Every block's relations and factors are those of the
-    # reference's distinct rows.  An oracle whose product table dropped the
-    # binomial (x'x' = 2 g2(x'), not g2(x')) fails here.
-    spec = free_spec(ring, rank, truncation, weights=weights)
-    oracle = OmegaOracle(spec)
+def all_pairs_relations(oracle):
+    """The reference for I^2, block by block: the distinct kernel coordinates
+    of every nonzero product of two kernel rows, over unordered pairs of
+    weights summing to w (lighter factor first), each solved in the block of
+    its fold degree; over Z/m the rows of m Z^B follow.  Returns
+    (beta -> those rows, the number of products)."""
+    spec = oracle.spec
+    truncation, rank, modulus = spec.truncation, spec.generator_count, spec.ring.modulus
     by_weight = {w: [] for w in range(1, truncation)}
     for beta, block in oracle.blocks.items():
         if block.weight < truncation:
             by_weight[block.weight] += [oracle.kernel_element(beta, row) for row in block.kernel]
     rows = {beta: [] for beta in oracle.blocks}
+    products = 0
     for w in range(2, truncation + 1):
-        for w1 in range(1, w // 2 + 1):
-            left, right = by_weight[w1], by_weight[w - w1]
-            for u, v in combinations_with_replacement(left, 2) if 2 * w1 == w else product(left, right):
-                uv = u * v
-                if uv.is_zero():
-                    continue
-                beta = fold_degree(next(iter(uv.terms)), rank)
-                block = oracle.blocks[beta]
-                coords = solve_in_lattice(block.kernel, coordinates(uv, block.index))
-                assert coords is not None
-                rows[beta].append(coords)
-    products = sum(len(r) for r in rows.values())
+        for u, v in factor_pairs(by_weight, w):
+            uv = u * v
+            if uv.is_zero():
+                continue
+            beta = fold_degree(next(iter(uv.terms)), rank)
+            block = oracle.blocks[beta]
+            coords = solve_in_lattice(block.kernel, coordinates(uv, block.index))
+            assert coords is not None
+            rows[beta].append(tuple(coords))
+            products += 1
     for beta, block in oracle.blocks.items():
         n = len(block.domain)
-        if ring.modulus:
+        if modulus:
             rows[beta] += [
-                solve_in_lattice(block.kernel, [ring.modulus * (i == j) for i in range(n)]) for j in range(n)
+                tuple(solve_in_lattice(block.kernel, [modulus * (i == j) for i in range(n)])) for j in range(n)
             ]
-        if block.canonical == beta:
-            assert block.rows == rows[beta], beta
-        else:
-            assert sorted(block.rows) == sorted(rows[beta]), beta
-        distinct = list(dict.fromkeys(map(tuple, rows[beta])))
-        assert block.relations == hermite_form(distinct, len(block.kernel)), beta
-        assert block.factors == cokernel_factors(len(block.kernel), distinct, ZZ), beta
+        rows[beta] = list(dict.fromkeys(rows[beta]))
+    return rows, products
+
+
+def assert_relations_match_all_pairs(oracle):
+    # The Hermite form is unique, so equal relations state that J * I and the
+    # all-pairs products span the same lattice in every block.
+    reference, products = all_pairs_relations(oracle)
+    for beta, block in oracle.blocks.items():
+        assert block.relations == hermite_form(reference[beta], len(block.kernel)), beta
+        assert block.factors == cokernel_factors(len(block.kernel), reference[beta], ZZ), beta
+    return products
+
+
+BLOCK_SETTINGS = [
+    (1, 8, None), (2, 5, None), (3, 4, None), (2, 6, (1, 2)), (4, 5, None), (3, 6, (1, 1, 2)), (2, 9, (2, 3)),
+]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6), Ring(9)], ids=["Z", "Z/4", "Z/6", "Z/9"])
+@pytest.mark.parametrize("rank, truncation, weights", BLOCK_SETTINGS)
+def test_block_rows_match_products_of_kernel_elements(rank, truncation, weights, ring):
+    # The oracle spans I^2 = J * I from j = gamma_n(y_i) - gamma_n(x_i) times
+    # kernel rows; the reference multiplies every pair of kernel rows as
+    # coproduct elements.  A view shares its canonical block's relations, and
+    # is checked against its own products.  An oracle whose J table drops
+    # the binomial of gamma_n(y_i) m, or skips n = 1 or n = 2, fails here;
+    # skipping n = 6 would not, as the C(6, a), 0 < a < 6, have gcd 1.
+    products = assert_relations_match_all_pairs(OmegaOracle(free_spec(ring, rank, truncation, weights=weights)))
     assert products > 0
 
 
@@ -654,3 +666,15 @@ def test_main_theorem_at_rank3_n10():
     report = verify_main_theorem(free_spec(ZZ, 3, 10))
     assert report.passed, report.summary()
     assert len(report.records) == 5787
+
+
+def test_main_theorem_at_rank2_n16():
+    report = verify_main_theorem(free_spec(ZZ, 2, 16))
+    assert report.passed, report.summary()
+    assert len(report.records) == 4028
+
+
+def test_main_theorem_at_rank3_n12():
+    report = verify_main_theorem(free_spec(ZZ, 3, 12))
+    assert report.passed, report.summary()
+    assert len(report.records) == 12714
