@@ -2,8 +2,9 @@
 kernels, and invariant factors of finitely generated quotients.
 
 Matrices are lists of rows of Python ints; no floating point.  A row handed
-in may be a dense sequence or a dict {column: value}; rows handed back are
-dense lists.  The one elimination is ``hermite_form``.  It works on sparse
+in may be a dense sequence or a dict {column: value}; a basis handed back is
+a ``HermiteBasis``, which stores each row's nonzero values and their columns
+only.  The one elimination is ``hermite_form``.  It works on sparse
 rows, dicts of their nonzero entries bucketed by leading column, so a
 column's gcd steps see only the rows that start there and touch only nonzero
 entries (sparse elimination as in Dumas, Saunders and Villard, J. Symb.
@@ -19,19 +20,34 @@ from .coeff import ZZ
 
 
 class HermiteBasis(list):
-    """The rows of a Hermite normal form, with the pivot column of each row.
-
-    ``supports`` lists, for each row, the columns where it is nonzero, all at
-    or past its pivot, so every solve against the lattice is a triangular
-    substitution that touches only nonzero entries.  The rows are read-only:
-    ``pivots`` and ``supports`` describe them as built, by the caller that
-    built them.
+    """The rows of a Hermite normal form, each the tuple of its nonzero
+    values in ascending column order; ``supports[i]`` holds the columns of row
+    i, so its pivot column is ``supports[i][0]`` and its pivot ``row[0]``, and
+    solves against the lattice touch nonzero entries only.  The rows are
+    read-only.  Bases are equal when values and supports are, and never equal
+    a plain list; a basis goes back into ``hermite_form`` as ``row_dicts()``.
     """
 
-    def __init__(self, rows, pivots, supports):
-        super().__init__(rows)
-        self.pivots = tuple(pivots)
+    def __init__(self, rows, supports):
+        super().__init__(map(tuple, rows))
         self.supports = tuple(map(tuple, supports))
+
+    @property
+    def pivots(self):
+        return tuple(support[0] for support in self.supports)
+
+    def row_dicts(self):
+        """The rows as dicts {column: value}, a form ``hermite_form`` reads."""
+        return [dict(zip(support, row)) for support, row in zip(self.supports, self)]
+
+    def __eq__(self, other):
+        return isinstance(other, HermiteBasis) and self.supports == other.supports and list.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __repr__(self):
+        return f"HermiteBasis({self.row_dicts()})"
 
 
 def hermite_form(rows, ncols):
@@ -39,9 +55,9 @@ def hermite_form(rows, ncols):
 
     Each of ``rows`` is a dense sequence of ``ncols`` ints or a dict
     {column: value} with columns below ``ncols``; a dict may hold zero values,
-    which are ignored.  The input is left unmodified.  Returns a
-    ``HermiteBasis`` of dense rows in echelon form with positive pivots and
-    entries above each pivot reduced to [0, pivot).  Zero rows are dropped.
+    which are ignored.  The input is left unmodified.  Returns the rows in
+    echelon form with positive pivots and entries above each pivot reduced to
+    [0, pivot), as a ``HermiteBasis``.  Zero rows are dropped.
 
     The elimination touches nonzero entries only.  Each row becomes a fresh
     dict {column: value} of its nonzeros, kept in the bucket of its leading
@@ -49,8 +65,8 @@ def hermite_form(rows, ncols):
     with an entry there, the pivot; a reduced row whose leading entry
     vanished moves to the bucket of its new leading column.  Then each pivot
     reduces the rows above it that have an entry in its column, found from a
-    column index that grows as entries fill in.  Each output row's support
-    is read off its dict, not off the dense row.
+    column index that grows as entries fill in.  Each output row is read off
+    its dict: its sorted columns, and the values at them.
     """
     cols = list(range(ncols))  # a list, so compress makes no int objects
     buckets = {}
@@ -61,8 +77,7 @@ def hermite_form(rows, ncols):
             row = {j: r[j] for j in compress(cols, r)}
         if row:
             buckets.setdefault(min(row), []).append(row)
-    basis = []
-    pivots = []
+    basis = {}  # pivot column -> its row, in column order
     for col in cols:
         if not buckets:
             break
@@ -97,15 +112,14 @@ def hermite_form(rows, ncols):
         if pivot[col] < 0:
             for j in pivot:
                 pivot[j] = -pivot[j]
-        basis.append(pivot)
-        pivots.append(col)
+        basis[col] = pivot
     # Reduce entries above each pivot, in pivot order: a row below a pivot
     # never has an entry in its column, and a later pivot leaves it alone.
-    holders = {pcol: [] for pcol in pivots}
-    for row in basis:
+    holders = {pcol: [] for pcol in basis}
+    for row in basis.values():
         for j in row.keys() & holders.keys():
             holders[j].append(row)
-    for pcol, prow in zip(pivots, basis):
+    for pcol, prow in basis.items():
         p = prow[pcol]
         items = prow.items()
         for above in holders[pcol]:
@@ -121,13 +135,8 @@ def hermite_form(rows, ncols):
                         del above[j]
                     else:
                         above[j] = x - q * v
-    dense = []
-    for row in basis:
-        out = [0] * ncols
-        for j, v in row.items():
-            out[j] = v
-        dense.append(out)
-    return HermiteBasis(dense, pivots, map(sorted, basis))
+    supports = [sorted(row) for row in basis.values()]
+    return HermiteBasis([map(row.__getitem__, s) for row, s in zip(basis.values(), supports)], supports)
 
 
 def spans_full_lattice(rows, ncols):
@@ -137,13 +146,13 @@ def spans_full_lattice(rows, ncols):
     identity, so one reduction decides it.
     """
     hnf = hermite_form(rows, ncols)
-    return len(hnf) == ncols and all(row[i] == 1 for i, row in enumerate(hnf))
+    return len(hnf) == ncols and all(row[0] == 1 for row in hnf)
 
 
 def spans_full_lattice_with(hnf, rows, ncols):
     """Whether ``rows`` together with the ``HermiteBasis`` ``hnf`` span all
-    of Z^ncols: ``spans_full_lattice([*rows, *hnf], ncols)``, decided on the
-    non-unit-pivot core of ``hnf`` (see ``unit_pivot_split``).
+    of Z^ncols: ``spans_full_lattice([*rows, *hnf.row_dicts()], ncols)``,
+    decided on the non-unit-pivot core of ``hnf`` (see ``unit_pivot_split``).
 
     A unit pivot row e_c + (entries off the unit pivot columns) splits off
     with its column, so each row is reduced by the unit pivot rows at its
@@ -154,12 +163,12 @@ def spans_full_lattice_with(hnf, rows, ncols):
     reduced = []
     for r in rows:
         v = list(r)
-        for pcol, row, support in units:
-            if q := v[pcol]:
-                for j in support:
-                    v[j] -= q * row[j]
+        for support, row in units:
+            if q := v[support[0]]:
+                for j, x in zip(support, row):
+                    v[j] -= q * x
         reduced.append([v[j] for j in kept])
-    return spans_full_lattice([*reduced, *core], len(kept))
+    return spans_full_lattice([*reduced, *core.row_dicts()], len(kept))
 
 
 def kernel_basis_mod(rows, ncols, modulus):
@@ -169,10 +178,11 @@ def kernel_basis_mod(rows, ncols, modulus):
     of [M^T | I], with [m I | 0] below it when m > 0: a row combination with
     coefficients v over the first block and w over the second is
     (M v + m w, v), so the rows whose M^T part vanished span the lattice.  In
-    echelon form they are the last rows, and already its Hermite basis.
+    echelon form they are the last rows, and already its Hermite basis: their
+    supports lie past the first ``len(rows)`` columns, and shift down by that.
 
     >>> kernel_basis_mod([[1, 2]], 2, 4)
-    [[2, 1], [0, 2]]
+    HermiteBasis([{0: 2, 1: 1}, {1: 2}])
     """
     nrows = len(rows)
     augmented = [{i: row[j] for i, row in enumerate(rows)} | {nrows + j: 1} for j in range(ncols)]
@@ -180,54 +190,51 @@ def kernel_basis_mod(rows, ncols, modulus):
         augmented += [{j: modulus} for j in range(nrows)]
     reduced = hermite_form(augmented, nrows + ncols)
     first = sum(pcol < nrows for pcol in reduced.pivots)
-    return HermiteBasis(
-        [row[nrows:] for row in reduced[first:]],
-        [p - nrows for p in reduced.pivots[first:]],
-        [[j - nrows for j in support] for support in reduced.supports[first:]],
-    )
+    return HermiteBasis(reduced[first:], [[j - nrows for j in support] for support in reduced.supports[first:]])
 
 
 def solve_in_lattice(hnf, target):
     """Integer coefficients expressing ``target`` over the rows of ``hnf``, or None.
 
     ``hnf`` is a ``HermiteBasis`` from ``hermite_form``.  Back substitution
-    runs over its cached pivots; a row whose pivot entry in the residue is
-    already 0 gets coefficient 0 and is skipped.
+    walks each row's columns and values; a row whose pivot entry in the
+    residue is already 0 gets coefficient 0 and is skipped.
     """
     residue = list(target)
     coeffs = [0] * len(hnf)
-    for i, (pcol, row, support) in enumerate(zip(hnf.pivots, hnf, hnf.supports)):
-        value = residue[pcol]
+    for i, (support, row) in enumerate(zip(hnf.supports, hnf)):
+        value = residue[support[0]]
         if not value:
             continue
-        q, r = divmod(value, row[pcol])
+        q, r = divmod(value, row[0])
         if r:
             return None
         coeffs[i] = q
-        for j in support:
-            residue[j] -= q * row[j]
+        for j, v in zip(support, row):
+            residue[j] -= q * v
     return coeffs if not any(residue) else None
-
-
-def in_lattice(hnf, target):
-    return solve_in_lattice(hnf, target) is not None
 
 
 def smith_diagonal(hnf, ncols):
     """Positive diagonal d_1 | d_2 | ... of the Smith normal form (length = rank).
 
     ``hnf`` is a ``HermiteBasis`` as ``hermite_form`` returns it, with
-    ``ncols`` columns (which its rows do not show when there are none).
-    Alternates Hermite forms of its transpose and of the matrix until every
-    row has one nonzero entry (Kannan and Bachem 1979), then merges that
-    diagonal into a divisibility chain, padded with 1s up to the rank.
+    ``ncols`` columns.  Alternates Hermite forms of its transpose and of the
+    matrix until every row has one nonzero entry (Kannan and Bachem 1979),
+    then merges that diagonal into a divisibility chain, padded with 1s up to
+    the rank.  The transpose is built sparsely, one dict {row: value} per
+    column.
 
     >>> smith_diagonal(hermite_form([[2, 0], [0, 3]], 2), 2)
     [1, 6]
     """
     while any(len(support) > 1 for support in hnf.supports):
-        hnf = hermite_form(list(zip(*hnf)), len(hnf))
-    chain = invariant_factor_chain([row[pcol] for pcol, row in zip(hnf.pivots, hnf)], ZZ)
+        columns = [{} for _ in range(ncols)]
+        for i, (support, row) in enumerate(zip(hnf.supports, hnf)):
+            for j, v in zip(support, row):
+                columns[j][i] = v
+        hnf, ncols = hermite_form(columns, len(hnf)), len(hnf)
+    chain = invariant_factor_chain([row[0] for row in hnf], ZZ)
     return [1] * (len(hnf) - len(chain)) + list(chain)
 
 
@@ -238,25 +245,18 @@ def unit_pivot_split(hnf, ncols):
     A pivot equal to 1 is the only nonzero entry of its column (entries above
     it are reduced into [0, 1), echelon form puts zeros below it), so column
     operations clear its row without touching any other: the row and its
-    column split off as a Z/1 summand.  ``units`` lists (pivot column, row,
-    support) of those rows, ``kept`` the other columns, and ``core`` the
-    other rows restricted to ``kept``: deleting those rows and columns keeps
-    a Hermite form, with its pivots renumbered.
+    column split off as a Z/1 summand.  ``units`` lists (support, row) of
+    those rows, ``kept`` the other columns, and ``core`` the other rows,
+    which have no entry in a unit pivot column: deleting those rows and
+    columns keeps a Hermite form, whose rows keep their values and whose
+    supports are renumbered.
     """
-    units = [(pcol, row, support) for pcol, row, support in zip(hnf.pivots, hnf, hnf.supports) if row[pcol] == 1]
-    unit_cols = {pcol for pcol, _, _ in units}
+    units = [(support, row) for support, row in zip(hnf.supports, hnf) if row[0] == 1]
+    unit_cols = {support[0] for support, _ in units}
     kept = [j for j in range(ncols) if j not in unit_cols]
     position = {j: i for i, j in enumerate(kept)}
-    rest = [
-        (position[pcol], row, support)
-        for pcol, row, support in zip(hnf.pivots, hnf, hnf.supports)
-        if pcol in position
-    ]
-    core = HermiteBasis(
-        [[row[j] for j in kept] for _, row, _ in rest],
-        [p for p, _, _ in rest],
-        [[position[j] for j in support if j in position] for _, _, support in rest],
-    )
+    rest = [(support, row) for support, row in zip(hnf.supports, hnf) if row[0] != 1]
+    core = HermiteBasis([row for _, row in rest], [[position[j] for j in support] for support, _ in rest])
     return units, kept, core
 
 
@@ -271,19 +271,20 @@ def cokernel_factors(ncols, relation_rows, ring, column_annihilators=None):
     ``invariant_factor_chain`` gives the canonical chain d_1 | d_2 | ... over
     R, with 1s dropped and one 0 per free summand.  Relations handed in as a
     ``HermiteBasis`` with nothing adjoined are used as they are: the Hermite
-    form of a Hermite form is itself.
+    form of a Hermite form is itself; with annihilators adjoined, they are
+    reduced again from their ``row_dicts()``.
 
     A unit pivot of the Hermite form of the relations splits off its row and
     column as a Z/1 summand, so the Smith step sees only the core
     (``unit_pivot_split``).
     """
     adjoined = [{j: d} for j, d in enumerate(column_annihilators or ()) if d]
-    if adjoined or not isinstance(relation_rows, HermiteBasis):
+    hnf = relation_rows
+    if adjoined or not isinstance(hnf, HermiteBasis):
         # Hermite reduction first: cheap, and it caps the row count at ncols
         # before the Smith alternation runs.
-        hnf = hermite_form([*relation_rows, *adjoined], ncols)
-    else:
-        hnf = relation_rows
+        rows = hnf.row_dicts() if isinstance(hnf, HermiteBasis) else relation_rows
+        hnf = hermite_form([*rows, *adjoined], ncols)
     _, kept, core = unit_pivot_split(hnf, ncols)
     diagonal = smith_diagonal(core, len(kept))
     return invariant_factor_chain(diagonal + [0] * (len(kept) - len(diagonal)), ring)

@@ -66,9 +66,9 @@ from .kahler import (
 from .linalg import (
     cokernel_factors,
     hermite_form,
-    in_lattice,
     invariant_factor_chain,
     kernel_basis_mod,
+    solve_in_lattice,
     spans_full_lattice_with,
 )
 from .record import Record
@@ -160,13 +160,13 @@ def halves(spec, beta):
 
 
 class Block(Record):
-    """The coproduct monomials folding onto one monomial beta of A, the fold
-    map on them (one row: the block has one target monomial), the HNF of its
-    kernel and that HNF's last column ``last``; ``OmegaOracle`` adds
-    ``relations``, the HNF of the block of I^2 in kernel coordinates, the
-    invariant factors of this block of I/I^2, and ``phi``: for each prime
-    p <= N / weight, the coordinates in block p*beta of gamma_p of each
-    kernel row.
+    """The coproduct monomials folding onto one monomial beta of A, the HNF
+    of the fold map's kernel on them and that HNF's last column ``last``
+    (t_i = -c_i for the fold row c, reduced mod m over Z/m, then m).
+    ``OmegaOracle`` adds ``relations``, the HNF of the block of I^2 in kernel
+    coordinates, the invariant factors of this block of I/I^2, and ``phi``:
+    for each prime p <= N / weight, the coordinates in block p*beta of
+    gamma_p of each kernel row.
 
     ``canonical`` keys the block of this block's exponent class that was
     built.  A block that is not its own canonical block is a view: its
@@ -176,16 +176,13 @@ class Block(Record):
     """
 
     __slots__ = _fields = (
-        "weight", "domain", "index", "matrix", "kernel", "last", "canonical",
-        "relations", "factors", "phi",
+        "weight", "domain", "index", "kernel", "last", "canonical", "relations", "factors", "phi",
     )
 
-    def __init__(self, weight, domain, index, matrix, kernel, last, canonical,
-                 relations=None, factors=None, phi=None):
+    def __init__(self, weight, domain, index, kernel, last, canonical, relations=None, factors=None, phi=None):
         self.weight = weight
         self.domain = domain
         self.index = index
-        self.matrix = matrix
         self.kernel = kernel
         self.last = last
         self.canonical = canonical
@@ -225,8 +222,8 @@ def fold_kernel(spec):
     evaluated through ``dp_map_apply`` and its kernel by ``kernel_basis_mod``.
     The fold row has coefficient 1 at y^beta, the last domain monomial, so
     that kernel must be e_i + t_i e_last for i < n - 1, plus m e_last over
-    Z/m; a kernel of another shape raises ``ValueError``.  Every other block
-    is a view of its canonical block.
+    Z/m, read through its supports; a kernel of another shape raises
+    ``ValueError``.  Every other block is a view of its canonical block.
     """
     co = coproduct(spec, spec)
     k = spec.generator_count
@@ -241,7 +238,7 @@ def fold_kernel(spec):
                 relabel = [stands_for[g % k] + k * (g // k) for g in range(2 * k)]
                 domain = [tuple(sorted((relabel[g], e) for g, e in mono)) for mono in rep.domain]
                 index = position_index(domain)
-                blocks[beta] = Block(w, domain, index, rep.matrix, rep.kernel, rep.last, canonical)
+                blocks[beta] = Block(w, domain, index, rep.kernel, rep.last, canonical)
                 continue
             # x^a y^(beta - a) for 0 <= a <= beta, in the coproduct's monomial
             # order: descending lexicographic in a.
@@ -254,15 +251,13 @@ def fold_kernel(spec):
                 coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), {beta: 0})[0]
                 for m in domain
             ]
-            n = len(domain)
-            kernel = kernel_basis_mod([row], n, modulus)
-            last = [r[-1] for r in kernel]
-            shape = [[int(i == j) for j in range(n - 1)] + [t] for i, t in enumerate(last[: n - 1])]
-            if modulus:
-                shape.append([0] * (n - 1) + [modulus])
-            if len(kernel) != n - (not modulus) or kernel != shape:
+            end = len(domain) - 1
+            kernel = kernel_basis_mod([row], end + 1, modulus)
+            last = [values[-1] if support[-1] == end else 0 for support, values in zip(kernel.supports, kernel)]
+            shape = [{i: 1, end: t} if t else {i: 1} for i, t in enumerate(last[:end])]
+            if kernel.row_dicts() != shape + [{end: modulus}] * bool(modulus):
                 raise ValueError(f"fold kernel of block {beta} is not e_i + t_i e_last")
-            blocks[beta] = Block(w, domain, position_index(domain), [row], kernel, last, beta)
+            blocks[beta] = Block(w, domain, position_index(domain), kernel, last, beta)
     return co, blocks
 
 
@@ -323,7 +318,8 @@ class OmegaOracle:
                 block.relations, block.factors, block.phi = rep.relations, rep.factors, rep.phi
                 continue
             # A row in m Z^B has no nonzero pair, and only zero products, so it is left out.
-            nonzero = ([(a, c) for a, c in enumerate(map(normalize, row)) if c] for row in block.kernel)
+            nonzero = [[(a, c) for a, c in zip(support, map(normalize, row)) if c]
+                       for support, row in zip(block.kernel.supports, block.kernel)]
             sparse[beta] = [pairs for pairs in nonzero if pairs]
             # j * u for j = gamma_n(y_i) - gamma_n(x_i) and u a kernel row of
             # block rest = beta - n e_i, written into this block's coordinates
@@ -364,7 +360,7 @@ class OmegaOracle:
             # beta is, and a view relabels beta and p*beta alike, so its
             # canonical block's tables serve it as they stand.
             primes = primes_up_to(spec.truncation // block.weight)
-            elements = [self.kernel_element(beta, row) for row in block.kernel] if primes else []
+            elements = [self.kernel_element(beta, pairs) for pairs in nonzero] if primes else []
             block.phi = {}
             for p in primes:
                 target = self.blocks[tuple((gen, p * e) for gen, e in beta)]
@@ -388,10 +384,10 @@ class OmegaOracle:
                 image = [o + c**p * x for o, x in zip(image, row)]
         return target, image
 
-    def kernel_element(self, beta, row):
-        """The coproduct-algebra element with ambient coordinates ``row`` in block ``beta``."""
-        terms = {mono: c for mono, c in zip(self.blocks[beta].domain, row) if c}
-        return from_terms(self.coproduct.spec, terms)
+    def kernel_element(self, beta, entries):
+        """The coproduct-algebra element with (domain position, coefficient) pairs ``entries`` in block ``beta``."""
+        domain = self.blocks[beta].domain
+        return from_terms(self.coproduct.spec, {domain[a]: c for a, c in entries})
 
     def to_kernel_coords(self, element):
         """(beta, kernel coordinates in block beta) of an element of I lying in
@@ -409,7 +405,7 @@ class OmegaOracle:
     def in_relations(self, beta, coords):
         """Whether kernel coordinates in block beta name the zero class: they
         lie in the block's I^2 (beta None is zero)."""
-        return beta is None or in_lattice(self.blocks[beta].relations, coords)
+        return beta is None or solve_in_lattice(self.blocks[beta].relations, coords) is not None
 
     def class_is_zero(self, element):
         return self.in_relations(*self.to_kernel_coords(element))

@@ -1,10 +1,11 @@
 import random
 
+from dpalg import linalg
 from dpalg.coeff import Ring, ZZ
 from dpalg.linalg import (
+    HermiteBasis,
     cokernel_factors,
     hermite_form,
-    in_lattice,
     invariant_factor_chain,
     kernel_basis_mod,
     smith_diagonal,
@@ -34,6 +35,18 @@ def determinant(rows):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def densify(hnf, ncols):
+    """The rows of the ``HermiteBasis`` ``hnf`` as dense lists of ``ncols`` ints."""
+    out = []
+    for support, row in zip(hnf.supports, hnf):
+        assert len(support) == len(row)
+        dense = [0] * ncols
+        for j, v in zip(support, row):
+            dense[j] = v
+        out.append(dense)
+    return out
 
 
 def smith(rows, ncols):
@@ -70,29 +83,74 @@ def test_smith_rectangular():
     assert smith([[6, 0], [0, 10], [0, 0]], 2) == [2, 30]
 
 
+def test_smith_alternation_transposes_to_the_current_shape(monkeypatch):
+    # Each step hands hermite_form the transpose of the basis it holds: one
+    # row per column of that basis, and as many columns as it has rows.
+    calls = []
+
+    def spy(rows, ncols):
+        result = hermite_form(rows, ncols)
+        calls.append((len(rows), ncols, len(result)))
+        return result
+
+    monkeypatch.setattr(linalg, "hermite_form", spy)
+    # Entries sharing factors 2 and 3 make the alternation run more than once.
+    rng = random.Random(23)
+    entries = (0, 0, 2, 3, 4, 6, -2, -3)
+    repeated = 0
+    for _ in range(200):
+        ncols = rng.randint(2, 6)
+        hnf = hermite_form([[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randint(1, 3))], ncols)
+        calls.clear()
+        diagonal = smith_diagonal(hnf, ncols)
+        shape = (ncols, len(hnf))  # (columns, rows) of the basis to transpose
+        for nrows, width, rank in calls:
+            assert (nrows, width) == shape
+            shape = (width, rank)
+        assert len(diagonal) == len(hnf)
+        repeated += len(calls) > 1 and len(hnf) < ncols
+    assert repeated > 10
+
+
 def test_hermite_membership():
     rows = hermite_form([[2, 0, 4], [0, 3, 1], [2, 3, 5]], 3)
-    assert in_lattice(rows, [2, 0, 4])
-    assert in_lattice(rows, [4, 3, 9])
-    assert not in_lattice(rows, [1, 0, 0])
+    assert solve_in_lattice(rows, [2, 0, 4]) is not None
+    assert solve_in_lattice(rows, [4, 3, 9]) is not None
+    assert solve_in_lattice(rows, [1, 0, 0]) is None
     coeffs = solve_in_lattice(rows, [2, 3, 5])
     assert coeffs is not None
     rebuilt = [0, 0, 0]
-    for c, row in zip(coeffs, rows):
+    for c, row in zip(coeffs, densify(rows, 3)):
         for j in range(3):
             rebuilt[j] += c * row[j]
     assert rebuilt == [2, 3, 5]
+
+
+def test_hermite_basis_equality_reads_values_and_supports():
+    hnf = hermite_form([[1, 0, 2], [0, 3, 0]], 3)
+    assert hnf == HermiteBasis([[1, 2], [3]], [[0, 2], [1]])
+    assert not hnf != HermiteBasis([[1, 2], [3]], [[0, 2], [1]])
+    assert hnf.pivots == (0, 1)
+    assert repr(hnf) == "HermiteBasis([{0: 1, 2: 2}, {1: 3}])"
+    # The same values over other columns span another lattice.
+    moved = HermiteBasis([[1, 2], [3]], [[0, 1], [2]])
+    assert hnf != moved and not hnf == moved
+    # A basis never equals plain rows, dense or as it stores them, either way round.
+    for rows in ([[1, 0, 2], [0, 3, 0]], [(1, 2), (3,)], [[1, 2], [3]]):
+        assert hnf != rows and rows != hnf
+        assert not hnf == rows and not rows == hnf
+    assert densify(hnf, 3) == [[1, 0, 2], [0, 3, 0]]
 
 
 def test_kernel_basis():
     # x + 2y + z = 0 has a rank-2 kernel.
     basis = kernel_basis_mod([[1, 2, 1]], 3, 0)
     assert len(basis) == 2
-    for v in basis:
+    for v in densify(basis, 3):
         assert v[0] + 2 * v[1] + v[2] == 0
-    assert in_lattice(basis, [1, 0, -1])
-    assert in_lattice(basis, [0, 1, -2])
-    assert not in_lattice(basis, [1, 0, 0])
+    assert solve_in_lattice(basis, [1, 0, -1]) is not None
+    assert solve_in_lattice(basis, [0, 1, -2]) is not None
+    assert solve_in_lattice(basis, [1, 0, 0]) is None
 
 
 def test_kernel_basis_random_consistency():
@@ -100,7 +158,7 @@ def test_kernel_basis_random_consistency():
     for _ in range(50):
         rows = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(3)]
         basis = kernel_basis_mod(rows, 5, 0)
-        for v in basis:
+        for v in densify(basis, 5):
             assert all(sum(r[j] * v[j] for j in range(5)) == 0 for r in rows)
         assert len(basis) == 5 - len(smith(rows, 5))
 
@@ -108,11 +166,11 @@ def test_kernel_basis_random_consistency():
 def test_kernel_basis_mod():
     # Over Z/4: kernel of [1 2] contains (2, 1), (0, 2) and 4Z^2.
     basis = kernel_basis_mod([[1, 2]], 2, 4)
-    assert in_lattice(basis, [2, 1])
-    assert in_lattice(basis, [4, 0])
-    assert in_lattice(basis, [0, 4])
-    assert not in_lattice(basis, [1, 0])
-    for v in basis:
+    assert solve_in_lattice(basis, [2, 1]) is not None
+    assert solve_in_lattice(basis, [4, 0]) is not None
+    assert solve_in_lattice(basis, [0, 4]) is not None
+    assert solve_in_lattice(basis, [1, 0]) is None
+    for v in densify(basis, 2):
         assert (v[0] + 2 * v[1]) % 4 == 0
 
 
@@ -177,7 +235,9 @@ def test_unit_pivot_split_matches_full_smith():
         sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
         assert cokernel_factors(n, sparse, ring, column_annihilators=anns) == expected, (rows, ring, anns)
         hnf = hermite_form(rows, n)
-        units = sum(row[p] == 1 for p, row in zip(hnf.pivots, hnf))
+        # A Hermite basis, with the annihilators adjoined when there are any.
+        assert cokernel_factors(n, hnf, ring, column_annihilators=anns) == expected, (rows, ring, anns)
+        units = sum(row[0] == 1 for row in hnf)
         units_seen += units > 0
         cores_seen += units < len(hnf)
     assert units_seen > 100 and cores_seen > 60
@@ -193,7 +253,7 @@ def test_unit_pivot_split_edge_cases():
     # A non-unit pivot with a nonzero entry above it stays in the core.
     rows = [[1, 1, 0], [0, 2, 0]]
     hnf = hermite_form(rows, 3)
-    assert hnf.pivots == (0, 1) and hnf[0][1] == 1
+    assert hnf.pivots == (0, 1) and densify(hnf, 3)[0][1] == 1
     assert cokernel_factors(3, rows, ZZ) == (2, 0)
     # Dict rows with column annihilators over Z/6: column 1 dies (gcd(3, 4, 6)
     # = 1), and e_2 = -2 e_0 leaves one Z/6.
@@ -268,20 +328,20 @@ def test_cached_pivot_solve_matches_reference():
         lattices.append((kernel_basis_mod(matrix, ncols, 6), ncols))
     members = non_members = 0
     for hnf, ncols in lattices:
+        rows = densify(hnf, ncols)
         for _ in range(8):
             if hnf and rng.random() < 0.5:
                 coeffs = [rng.randint(-4, 4) for _ in hnf]
-                target = _combine(coeffs, hnf, ncols)
+                target = _combine(coeffs, rows, ncols)
             else:
                 target = [rng.randint(-9, 9) for _ in range(ncols)]
             got = solve_in_lattice(hnf, target)
-            assert got == _reference_solve(hnf, target)
-            assert in_lattice(hnf, target) == (got is not None)
+            assert got == _reference_solve(rows, target)
             if got is None:
                 non_members += 1
             else:
                 members += 1
-                assert _combine(got, hnf, ncols) == target
+                assert _combine(got, rows, ncols) == target
     assert members > 100 and non_members > 100
 
 
@@ -291,7 +351,7 @@ def test_kernel_mod6_solve_rejects_non_members():
     assert solve_in_lattice(basis, [1, 0, 0]) is None
     assert solve_in_lattice(basis, [0, 0, 1]) is None
     coeffs = solve_in_lattice(basis, [6, 0, 0])
-    assert coeffs is not None and _combine(coeffs, basis, 3) == [6, 0, 0]
+    assert coeffs is not None and _combine(coeffs, densify(basis, 3), 3) == [6, 0, 0]
 
 
 def test_spans_full_lattice_identity_test():

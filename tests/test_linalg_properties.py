@@ -19,13 +19,13 @@ from dpalg.coeff import Ring
 from dpalg.linalg import (
     cokernel_factors,
     hermite_form,
-    in_lattice,
     kernel_basis_mod,
     smith_diagonal,
+    solve_in_lattice,
     spans_full_lattice,
     spans_full_lattice_with,
 )
-from test_linalg import _reference_cokernel_factors, determinant
+from test_linalg import _reference_cokernel_factors, densify, determinant
 
 
 @st.composite
@@ -130,9 +130,12 @@ def _assert_matches_dense_loop(rows, ncols):
     hnf = hermite_form(rows, ncols)
     assert _copies(rows) == before  # the input is left alone
     basis, pivots, supports = dense_hermite_form([_dense(r, ncols) for r in rows], ncols)
-    assert list(hnf) == basis
+    assert densify(hnf, ncols) == basis
     assert hnf.pivots == pivots
     assert hnf.supports == supports
+    # Only nonzero values are stored, over strictly ascending columns.
+    assert all(all(row) for row in hnf)
+    assert all(list(support) == sorted(set(support)) for support in hnf.supports)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -189,14 +192,14 @@ def _image(rows, v):
 def test_kernel_mod_m_is_every_solution_in_a_box(modulus, case):
     rows, ncols = case
     basis = kernel_basis_mod(rows, ncols, modulus)
-    for v in basis:
+    for v in densify(basis, ncols):
         assert all(x % modulus == 0 for x in _image(rows, v))
     # The lattice holds m Z^n, so the box [0, m)^n meets every residue class.
     for i in range(ncols):
-        assert in_lattice(basis, [modulus if j == i else 0 for j in range(ncols)])
+        assert solve_in_lattice(basis, [modulus if j == i else 0 for j in range(ncols)]) is not None
     for v in product(range(modulus), repeat=ncols):
         solves = all(x % modulus == 0 for x in _image(rows, v))
-        assert in_lattice(basis, v) == solves, v
+        assert (solve_in_lattice(basis, v) is not None) == solves, v
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -205,10 +208,10 @@ def test_kernel_mod_m_is_every_solution_in_a_box(modulus, case):
 def test_integer_kernel_holds_every_solution_in_a_box(case):
     rows, ncols = case
     basis = kernel_basis_mod(rows, ncols, 0)
-    for v in basis:
+    for v in densify(basis, ncols):
         assert not any(_image(rows, v))
     for v in product(range(-3, 4), repeat=ncols):
-        assert in_lattice(basis, v) == (not any(_image(rows, v))), v
+        assert (solve_in_lattice(basis, v) is not None) == (not any(_image(rows, v))), v
 
 
 @st.composite
@@ -256,4 +259,4 @@ def test_spans_full_lattice_with_matches_stacking_the_rows(case):
     unit pivot rows, agrees with one Hermite form of everything stacked."""
     relations, images, ncols = case
     hnf = hermite_form(relations, ncols)
-    assert spans_full_lattice_with(hnf, images, ncols) == spans_full_lattice([*images, *hnf], ncols)
+    assert spans_full_lattice_with(hnf, images, ncols) == spans_full_lattice([*images, *densify(hnf, ncols)], ncols)

@@ -20,6 +20,7 @@ from dpalg.dpcore import (
 )
 from dpalg.kahler import omega_free_basis
 from dpalg.linalg import (
+    HermiteBasis,
     cokernel_factors,
     hermite_form,
     invariant_factor_chain,
@@ -39,6 +40,12 @@ from dpalg.oracle import (
     verify_indecomposables,
     verify_main_theorem,
 )
+from test_linalg import densify
+
+
+def dense_kernel(block):
+    """The block's kernel basis as dense rows over its domain."""
+    return densify(block.kernel, len(block.domain))
 
 
 class ProductElement:
@@ -174,12 +181,13 @@ def test_gamma_of_mixed_monomial_stays_mixed():
 
 
 def test_fold_matrix_and_kernel_rank1():
-    # At rank 1 each weight w is one block, that of gamma_w(x).
+    # At rank 1 each weight w is one block, that of gamma_w(x).  The fold
+    # rows are [1, 1] and [1, 2, 1], so t_i = -c_i.
     co, blocks = fold_kernel(RANK1)
-    assert blocks[X1].matrix == [[1, 1]]
-    assert blocks[X1].kernel == [[1, -1]]
-    assert blocks[G2X].matrix == [[1, 2, 1]]
-    assert len(blocks[G2X].kernel) == 2
+    assert blocks[X1].last == [-1]
+    assert dense_kernel(blocks[X1]) == [[1, -1]]
+    assert blocks[G2X].last == [-1, -2]
+    assert dense_kernel(blocks[G2X]) == [[1, 0, -1], [0, 1, -2]]
 
 
 def test_fold_section_identities():
@@ -203,8 +211,8 @@ def test_induced_phi2_on_weight1_class():
     # gamma_2(x' - x'') = gamma_2 x' - x'x'' + gamma_2 x'' = v1 - v2 in the
     # Hermite kernel basis v1 = g2x' - g2x'', v2 = x'x'' - 2 g2x''.
     oracle = OmegaOracle(free_spec(ZZ, 1, 2))
-    assert oracle.blocks[X1].kernel == [[1, -1]]
-    assert oracle.blocks[G2X].kernel == [[1, 0, -1], [0, 1, -2]]
+    assert dense_kernel(oracle.blocks[X1]) == [[1, -1]]
+    assert dense_kernel(oracle.blocks[G2X]) == [[1, 0, -1], [0, 1, -2]]
     assert oracle.blocks[X1].phi[2] == [[1, -1]]
 
 
@@ -324,8 +332,8 @@ def test_induced_phi_is_semilinear_on_classes():
     oracle = OmegaOracle(spec)
     rng = random.Random(14)
     for w, p in ((1, 2), (1, 3), (2, 2), (3, 2), (2, 3)):
-        for row in oracle.blocks[((0, w),)].kernel:
-            v = oracle.kernel_element(((0, w),), row)
+        for row in dense_kernel(oracle.blocks[((0, w),)]):
+            v = oracle.kernel_element(((0, w),), enumerate(row))
             c = rng.randint(-5, 5)
             lhs = divided_power(p, v.scale(c))
             rhs = divided_power(p, v).scale(c**p)
@@ -338,11 +346,11 @@ def test_induced_phi_is_additive_on_classes():
     spec = free_spec(ZZ, 1, 6)
     oracle = OmegaOracle(spec)
     for w, p in ((1, 2), (2, 2), (1, 3), (3, 2)):
-        kernel = oracle.blocks[((0, w),)].kernel
+        kernel = dense_kernel(oracle.blocks[((0, w),)])
         for i in range(len(kernel)):
             for j in range(i, len(kernel)):
-                u = oracle.kernel_element(((0, w),), kernel[i])
-                v = oracle.kernel_element(((0, w),), kernel[j])
+                u = oracle.kernel_element(((0, w),), enumerate(kernel[i]))
+                v = oracle.kernel_element(((0, w),), enumerate(kernel[j]))
                 mixed = divided_power(p, u + v) - divided_power(p, u) - divided_power(p, v)
                 assert oracle.class_is_zero(mixed)
 
@@ -358,7 +366,7 @@ def test_gradewise_stability_under_deeper_truncation(rank, weights, ring):
     for small, big in zip(oracles, oracles[1:]):
         for beta, block in small.blocks.items():
             deeper = big.blocks[beta]
-            assert block.matrix == deeper.matrix, beta
+            assert block.last == deeper.last, beta
             assert block.kernel == deeper.kernel, beta
             assert block.factors == deeper.factors, beta
             assert block.relations == deeper.relations, beta
@@ -400,6 +408,7 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
         columns = [coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), target) for m in domain]
         matrix = [list(row) for row in zip(*columns)]
         kernel = kernel_basis_mod(matrix, len(domain), modulus)
+        dense = densify(kernel, len(domain))
         blocks = [(beta, b) for beta, b in oracle.blocks.items() if b.weight == w]
         # The Hermite form is unique, so the weight's kernel is the union of
         # its blocks' kernels, each row padded out with zeros.
@@ -409,14 +418,14 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
             # a view lists them in its canonical block's order, relabeled.
             members = [m for m in domain if fold_degree(m, rank) == beta]
             assert (block.domain if block.canonical == beta else sorted(block.domain, key=index.get)) == members
-            for row in block.kernel:
+            for row in dense_kernel(block):
                 full = [0] * len(domain)
                 for m, c in zip(block.domain, row):
                     full[index[m]] = c
                 padded.append(full)
-        assert sorted(kernel) == sorted(padded)
+        assert sorted(dense) == sorted(padded)
         products = [u * v for u, v in factor_pairs(elements, w)]
-        for uv in [*products, *(from_terms(co.spec, dict(zip(domain, row))) for row in kernel)]:
+        for uv in [*products, *(from_terms(co.spec, dict(zip(domain, row))) for row in dense)]:
             assert len({fold_degree(m, rank) for m in uv.terms}) <= 1, uv
         rows = [solve_in_lattice(kernel, coordinates(uv, index)) for uv in products]
         if modulus:
@@ -426,10 +435,11 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
         # The block relations assembled block-diagonally over the whole weight.
         assembled, offset, width = [], 0, sum(len(b.kernel) for _, b in blocks)
         for _, block in blocks:
-            assembled += [[0] * offset + row + [0] * (width - offset - len(row)) for row in block.relations]
+            relations = densify(block.relations, len(block.kernel))
+            assembled += [[0] * offset + row + [0] * (width - offset - len(row)) for row in relations]
             offset += len(block.kernel)
         assert oracle.factors(w) == cokernel_factors(width, assembled, ZZ)
-        elements[w] = [from_terms(co.spec, dict(zip(domain, row))) for row in kernel]
+        elements[w] = [from_terms(co.spec, dict(zip(domain, row))) for row in dense]
     # A kernel element of one block reads back in that block; a sum over two
     # blocks meets both, and its coordinates are refused, naming them.
     rng = random.Random(5)
@@ -437,10 +447,10 @@ def test_blocks_match_the_per_weight_oracle(rank, truncation, weights, ring):
     for _ in range(20):
         parts = []
         for beta in rng.sample(betas, 2):
-            kernel = oracle.blocks[beta].kernel
+            kernel = dense_kernel(oracle.blocks[beta])
             coeffs = [rng.randint(-3, 3) for _ in kernel]
             row = [sum(c * r[j] for c, r in zip(coeffs, kernel)) for j in range(len(kernel[0]))]
-            part = oracle.kernel_element(beta, row)
+            part = oracle.kernel_element(beta, enumerate(row))
             if not modulus:
                 assert oracle.to_kernel_coords(part) == ((beta, coeffs) if any(coeffs) else (None, []))
             parts.append((beta, part))
@@ -462,7 +472,7 @@ def all_pairs_relations(oracle):
     by_weight = {w: [] for w in range(1, truncation)}
     for beta, block in oracle.blocks.items():
         if block.weight < truncation:
-            by_weight[block.weight] += [oracle.kernel_element(beta, row) for row in block.kernel]
+            by_weight[block.weight] += [oracle.kernel_element(beta, enumerate(row)) for row in dense_kernel(block)]
     rows = {beta: [] for beta in oracle.blocks}
     products = 0
     for w in range(2, truncation + 1):
@@ -543,12 +553,13 @@ def test_class_views_match_directly_built_blocks(rank, truncation, weights, ring
         assert exponent_class(beta, spec.weights)[0] == block.canonical
         row = [coordinates(dp_map_apply(images, from_terms(co.spec, {m: 1})), {beta: 0})[0] for m in block.domain]
         kernels[beta] = kernel_basis_mod([row], len(block.domain), modulus)
-        assert block.matrix == [row], beta
+        # The fold row has 1 at y^beta, so t_i = -c_i, reduced mod m over Z/m.
+        assert block.last == [-c % modulus if modulus else -c for c in row[:-1]] + [modulus] * bool(modulus), beta
         assert block.kernel == kernels[beta], beta
     elements = {w: [] for w in range(1, truncation)}
     for beta, block in oracle.blocks.items():
         if block.weight < truncation:
-            elements[block.weight] += [oracle.kernel_element(beta, row) for row in block.kernel]
+            elements[block.weight] += [oracle.kernel_element(beta, enumerate(row)) for row in dense_kernel(block)]
     rows = {beta: [] for beta in views}
     for w in range(2, truncation + 1):
         for u, v in factor_pairs(elements, w):
@@ -570,9 +581,9 @@ def test_class_views_match_directly_built_blocks(rank, truncation, weights, ring
             table = [
                 solve_in_lattice(
                     kernels[target],
-                    coordinates(divided_power(p, oracle.kernel_element(beta, row)), views[target].index),
+                    coordinates(divided_power(p, oracle.kernel_element(beta, enumerate(row))), views[target].index),
                 )
-                for row in kernels[beta]
+                for row in densify(kernels[beta], len(block.domain))
             ]
             assert block.phi[p] == table, (beta, p)
             phi_rows += len(table)
@@ -606,7 +617,7 @@ def test_kernel_coords_are_the_projection(ring):
         n = len(block.domain)
         for _ in range(5):
             coeffs = [rng.randint(-9, 9) for _ in block.kernel]
-            vec = [sum(c * row[j] for c, row in zip(coeffs, block.kernel)) for j in range(n)]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, dense_kernel(block))) for j in range(n)]
             assert _kernel_coords(block, dict(enumerate(vec))) == solve_in_lattice(block.kernel, vec), beta
             vec[-1] += 1  # the fold row has coefficient 1 at y^beta
             assert solve_in_lattice(block.kernel, vec) is None
@@ -620,7 +631,8 @@ def test_fold_kernel_refuses_a_kernel_of_another_shape(monkeypatch):
     kernel_basis_mod = oracle_module.kernel_basis_mod
 
     def doubled(rows, ncols, modulus):
-        return [[2 * x for x in row] for row in kernel_basis_mod(rows, ncols, modulus)]
+        basis = kernel_basis_mod(rows, ncols, modulus)
+        return HermiteBasis([[2 * x for x in row] for row in basis], basis.supports)
 
     monkeypatch.setattr(oracle_module, "kernel_basis_mod", doubled)
     for ring in (ZZ, Ring(6)):
