@@ -252,14 +252,22 @@ class UModule:
             for q, inner in phi_tables:
                 if q != p:
                     report.check(f"phi_p phi_q = 0 (p={p}, q={q})", self._kills(columns, inner), True)
-        for mono_a, columns in a_tables:
-            for mono_b, inner in a_tables:
-                product = from_terms(self.spec, {mono_a: 1}) * from_terms(self.spec, {mono_b: 1})
-                images = [_image(columns, pairs) for pairs in inner]
+        # a * (b * v) = (a b) * v on every pair that some table meets; an
+        # absent table acts as 0.
+        tables = self._a_columns
+        zero_columns = [[] for _ in range(self.rank)]
+        basis = {m: from_terms(self.spec, {m: 1}) for m in basis_up_to(self.spec)} if tables else {}
+        for mono_a, a in basis.items():
+            for mono_b, b in basis.items():
+                product = a * b
+                if mono_a not in tables and mono_b not in tables and tables.keys().isdisjoint(product.terms):
+                    continue
+                columns = tables.get(mono_a, zero_columns)
+                images = [_image(columns, pairs) for pairs in tables.get(mono_b, zero_columns)]
                 for mono, c in product.terms.items():
-                    if mono in self._a_columns:
+                    if mono in tables:
                         for j, image in enumerate(images):
-                            _image(self._a_columns[mono], [(j, -c)], image)
+                            _image(tables[mono], [(j, -c)], image)
                 report.check(
                     "a_action respects products",
                     all(map(self._vanishes, images)),

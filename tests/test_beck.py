@@ -150,6 +150,20 @@ def test_module_validation_well_definedness():
     assert not verify_beck_axioms(bad_a, samples=80, seed=3).passed
 
 
+def test_module_validation_meets_absent_tables_in_the_product_law():
+    # Only x1^[2] has a table, so x1 acts as 0: x1 (x1 e0) = 0, while
+    # (x1 x1) e0 = 2 x1^[2] e0 = 2 e1.  A product law read only between
+    # stored tables never meets this pair.
+    spec = free_spec(ZZ, 1, 4)
+    module = UModule(spec, (0, 0), a_action={((0, 2),): [[0, 0], [1, 0]]})
+    report = module.validate()
+    assert not report.passed
+    assert [(r.law, r.counterexample) for r in report.failures()] == [
+        ("a_action respects products", "((0, 1),) * ((0, 1),): False != True")
+    ]
+    assert not verify_beck_axioms(module).passed
+
+
 MODULE_ZOO = [
     zero_module(SPEC),
     trivial_module(SPEC, (0, 2, 3)),
