@@ -15,25 +15,24 @@ beta: permuting generators of equal weight, on both coproduct copies, maps
 one block onto another.  So only the canonical block of each such exponent
 class is built (``exponent_class``); every other block is a view of it, with
 the relabeled domain in the same order, sharing its fold row, kernel,
-relations, factors and phi tables.  The kernel of a block's one-row
-fold map has the Hermite basis e_i + t_i e_last, plus m e_last over Z/m,
-checked once per class, so kernel coordinates are read off by projection.
-An element of I that the verifiers read lies in one block, so its kernel
-coordinates are a pair (beta, coordinates over block beta's kernel basis).
-A canonical block beta builds its I^2 rows from the splits beta = n e_i +
-rest with rest nonzero: each product of the generator j of block x_i^n with
-a kernel row of block rest is written straight into beta's coordinates
-through a table of j's monomial products.  In the same pass it builds its
-gamma_p tables into block p*beta, which is canonical too.  A/A^2 splits into
-one-column blocks, one per monomial m, each cyclic of order the gcd of the
-modulus and the binomials of the products over m's halves.  The fold map is
+relations and factors.  The kernel of a block's one-row fold map has the
+Hermite basis e_i + t_i e_last, plus m e_last over Z/m, checked once per
+class, so kernel coordinates are read off by projection.  An element of I
+that the verifiers read lies in one block, so its kernel coordinates are a
+pair (beta, coordinates over block beta's kernel basis).  A canonical block
+beta builds its I^2 rows from the splits beta = n e_i + rest with rest
+nonzero: each product of the generator j of block x_i^n with a kernel row of
+block rest is written straight into beta's coordinates through a table of
+j's monomial products.  phi_p of a class is read off gamma_p of an actual
+element of I, in block p*beta.  A/A^2 splits into one-column blocks, one per
+monomial m, each cyclic of order the gcd of the modulus and the binomials of
+the products over m's splits into two nonzero monomials.  The fold map is
 the only DP map evaluated generically (``dp_map_apply``); the coproduct
 inclusions send generators to distinct generators, so they just renumber
 each monomial.  ``cokernel_factors`` and the surjectivity check run only on
 the non-unit-pivot core of the relation HNF.  The comparison maps into the
-closed-form module go through explicit representatives, so the
-divided-power structure is exercised on actual elements rather than
-formulas.
+closed-form module go through explicit representatives, so the divided-power
+structure is exercised on actual elements rather than formulas.
 """
 
 from itertools import product
@@ -51,7 +50,6 @@ from .dpcore import (
     from_terms,
     gamma_gen,
     mono_mul,
-    monomial_sort_key,
     position_index,
     zero as algebra_zero,
 )
@@ -139,34 +137,13 @@ def fold_degree(mono, k):
     return tuple(sorted(degree.items()))
 
 
-def halves(spec, beta):
-    """The halves of beta: its splits beta1 + beta2 into nonzero monomials,
-    each once, as (beta1, beta2) with beta1 first under ``monomial_sort_key``,
-    in that order of beta1.  Block beta of A^2 is spanned by the products
-    beta1 * beta2 over beta's halves.
-
-    >>> from dpalg import free_spec
-    >>> halves(free_spec(ZZ, 2, 3), ((0, 2), (1, 1)))
-    [(((0, 1),), ((0, 1), (1, 1))), (((1, 1),), ((0, 2),))]
-    """
-    found = []
-    for split in product(*(range(e + 1) for _, e in beta)):
-        beta1 = tuple((g, a) for (g, _), a in zip(beta, split) if a)
-        beta2 = tuple((g, e - a) for (g, e), a in zip(beta, split) if a < e)
-        key = monomial_sort_key(spec, beta1)
-        if beta1 and beta2 and key <= monomial_sort_key(spec, beta2):
-            found.append((key, beta1, beta2))
-    return [(beta1, beta2) for _, beta1, beta2 in sorted(found)]
-
-
 class Block(Record):
     """The coproduct monomials folding onto one monomial beta of A, the HNF
     of the fold map's kernel on them and that HNF's last column ``last``
     (t_i = -c_i for the fold row c, reduced mod m over Z/m, then m).
     ``OmegaOracle`` adds ``relations``, the HNF of the block of I^2 in kernel
-    coordinates, the invariant factors of this block of I/I^2, and ``phi``:
-    for each prime p <= N / weight, the coordinates in block p*beta of
-    gamma_p of each kernel row.
+    coordinates, and ``factors``, the invariant factors of this block of
+    I/I^2.
 
     ``canonical`` keys the block of this block's exponent class that was
     built.  A block that is not its own canonical block is a view: its
@@ -176,10 +153,10 @@ class Block(Record):
     """
 
     __slots__ = _fields = (
-        "weight", "domain", "index", "kernel", "last", "canonical", "relations", "factors", "phi",
+        "weight", "domain", "index", "kernel", "last", "canonical", "relations", "factors",
     )
 
-    def __init__(self, weight, domain, index, kernel, last, canonical, relations=None, factors=None, phi=None):
+    def __init__(self, weight, domain, index, kernel, last, canonical, relations=None, factors=None):
         self.weight = weight
         self.domain = domain
         self.index = index
@@ -188,7 +165,6 @@ class Block(Record):
         self.canonical = canonical
         self.relations = relations
         self.factors = factors
-        self.phi = phi
 
 
 def exponent_class(beta, weights):
@@ -287,7 +263,7 @@ def _kernel_coords(block, entries):
 
 
 class OmegaOracle:
-    """I/I^2 of the fold kernel, block by block, with induced phi_p tables.
+    """I/I^2 of the fold kernel, block by block.
 
     Kernel coordinates of an element are a pair (beta, coordinates over block
     beta's kernel basis): every element the verifiers read lies in one block.
@@ -315,12 +291,11 @@ class OmegaOracle:
         for beta, block in self.blocks.items():
             if block.canonical != beta:  # its canonical block came first
                 rep = self.blocks[block.canonical]
-                block.relations, block.factors, block.phi = rep.relations, rep.factors, rep.phi
+                block.relations, block.factors = rep.relations, rep.factors
                 continue
             # A row in m Z^B has no nonzero pair, and only zero products, so it is left out.
-            nonzero = [[(a, c) for a, c in zip(support, map(normalize, row)) if c]
-                       for support, row in zip(block.kernel.supports, block.kernel)]
-            sparse[beta] = [pairs for pairs in nonzero if pairs]
+            sparse[beta] = [pairs for support, row in zip(block.kernel.supports, block.kernel)
+                            if (pairs := [(a, c) for a, c in zip(support, map(normalize, row)) if c])]
             # j * u for j = gamma_n(y_i) - gamma_n(x_i) and u a kernel row of
             # block rest = beta - n e_i, written into this block's coordinates
             # through a table: per domain position of rest, the positions and
@@ -356,38 +331,11 @@ class OmegaOracle:
             # nothing to the lattice.
             block.relations = hermite_form(list(dict.fromkeys(rows)), len(block.kernel))
             block.factors = cokernel_factors(len(block.kernel), block.relations, ZZ)
-            # gamma_p of each kernel row, read in block p*beta: canonical as
-            # beta is, and a view relabels beta and p*beta alike, so its
-            # canonical block's tables serve it as they stand.
-            primes = primes_up_to(spec.truncation // block.weight)
-            elements = [self.kernel_element(beta, pairs) for pairs in nonzero] if primes else []
-            block.phi = {}
-            for p in primes:
-                target = self.blocks[tuple((gen, p * e) for gen, e in beta)]
-                gammas = (divided_power(p, el).terms.items() for el in elements)
-                block.phi[p] = [_kernel_coords(target, {target.index[m]: c for m, c in g}) for g in gammas]
 
     def factors(self, w):
         """Invariant factors of I/I^2 in weight w, merged over its blocks."""
         orders = [d for b in self.blocks.values() if b.weight == w for d in b.factors]
         return invariant_factor_chain(orders, ZZ)
-
-    def phi_coords(self, p, beta, coords):
-        """(p*beta, kernel coordinates of gamma_p of the class with kernel
-        coordinates ``coords`` in block beta): sum c_k^p phi[p][k] over the
-        block's tables, as gamma_p is p-semilinear on I modulo I^2 (its cross
-        terms lie in I^2)."""
-        target = tuple((gen, p * e) for gen, e in beta)
-        image = [0] * len(self.blocks[target].kernel)
-        for c, row in zip(coords, self.blocks[beta].phi[p]):
-            if c:
-                image = [o + c**p * x for o, x in zip(image, row)]
-        return target, image
-
-    def kernel_element(self, beta, entries):
-        """The coproduct-algebra element with (domain position, coefficient) pairs ``entries`` in block ``beta``."""
-        domain = self.blocks[beta].domain
-        return from_terms(self.coproduct.spec, {domain[a]: c for a, c in entries})
 
     def to_kernel_coords(self, element):
         """(beta, kernel coordinates in block beta) of an element of I lying in
@@ -401,6 +349,11 @@ class OmegaOracle:
         if stray := [m for m in element.terms if m not in block.index]:
             raise ValueError(f"element meets blocks {beta} and {fold_degree(stray[0], k)}")
         return beta, _kernel_coords(block, {block.index[m]: c for m, c in element.terms.items()})
+
+    def phi_class(self, p, element):
+        """(p*beta, kernel coordinates) of gamma_p(element), for an element of I
+        in block beta: a representative of phi_p of its class in I/I^2."""
+        return self.to_kernel_coords(divided_power(p, element))
 
     def in_relations(self, beta, coords):
         """Whether kernel coordinates in block beta name the zero class: they
@@ -464,16 +417,16 @@ def verify_main_theorem(spec):
     coproduct_zero = algebra_zero(oracle.coproduct.spec)
 
     phi_dx = {}
-    phi_rows = {}
+    comparison = {}  # weight -> (block, kernel coordinates) of each entry's image
     for w in range(1, spec.truncation + 1):
         expected = invariant_factor_chain([e.annihilator for e in closed[w]], ring)
         report.check(f"invariant factors (w={w})", oracle.factors(w), expected)
 
-        phi_rows[w] = []
+        comparison[w] = []
         images = {}  # block -> the comparison images in it
         for entry in closed[w]:
             beta, coords = oracle.to_kernel_coords(_closed_form_rep(oracle, entry, phi_dx, d))
-            phi_rows[w].append((beta, coords))
+            comparison[w].append((beta, coords))
             images.setdefault(beta, []).append(coords)
             if entry.annihilator:
                 report.check(
@@ -501,7 +454,7 @@ def verify_main_theorem(spec):
             beta, difference = oracle.to_kernel_coords(d[mono])
             d_coords = omega_coordinates(universal_derivation(basis[mono]), index)
             stray = None  # a block other than beta that the closed-form d(mono) reaches
-            for c, (b, coords) in zip(d_coords, phi_rows[w]):
+            for c, (b, coords) in zip(d_coords, comparison[w]):
                 if c and b != beta:
                     stray = b
                 elif c:
@@ -513,13 +466,16 @@ def verify_main_theorem(spec):
                 context=lambda: f"monomial {mono} in block {beta}" + (f" and block {stray}" if stray else ""),
             )
 
-    # phi-compatibility, through the induced tables, where the expected image is zero.
-    for w in range(1, spec.truncation + 1):
-        for entry, (beta, coords) in zip(closed[w], phi_rows[w]):
+    # phi-compatibility where the expected image is zero: the class of gamma_p
+    # of each representative, rebuilt from the shared phi (x) dx_i reps.  No
+    # prime p has p*w <= N for w > N/2.
+    for w in range(1, spec.truncation // 2 + 1):
+        for entry in closed[w]:
+            rep = _closed_form_rep(oracle, entry, phi_dx, d)
             for p in primes_up_to(spec.truncation // w):
                 if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
                     continue  # phi_p of these is another basis rep by construction
-                target, image = oracle.phi_coords(p, beta, coords)
+                target, image = oracle.phi_class(p, rep)
                 report.check(
                     f"phi_{p} kills A_+-multiples and foreign primes (w={w})",
                     oracle.in_relations(target, image),
@@ -570,19 +526,27 @@ def indecomposable_orders(spec):
     """The order of each monomial's block of A/A^2 (0 = free), by weight.
 
     Each monomial m of A is a block with one column; its A^2 rows are the
-    binomials C of the products beta1 * beta2 = C m over m's halves.  The
-    Smith form of a one-column matrix is the gcd of its entries, so the block
-    is cyclic of order gcd(modulus, those binomials).
+    binomials C of the products beta1 * beta2 = C m over the splits m =
+    beta1 + beta2 into nonzero monomials.  The Smith form of a one-column
+    matrix is the gcd of its entries, so the block is cyclic of order
+    gcd(modulus, those binomials).
 
     >>> from dpalg import free_spec
     >>> indecomposable_orders(free_spec(ZZ, 1, 4))
     {1: {((0, 1),): 0}, 2: {((0, 2),): 2}, 3: {((0, 3),): 3}, 4: {((0, 4),): 2}}
     """
-    return {
-        w: {m: gcd(spec.ring.modulus, *(mono_mul(*half)[0] for half in halves(spec, m)))
-            for m in basis_of_weight(spec, w)}
-        for w in range(1, spec.truncation + 1)
-    }
+    orders = {}
+    for w in range(1, spec.truncation + 1):
+        orders[w] = {}
+        for m in basis_of_weight(spec, w):
+            binomials = []
+            for split in product(*(range(e + 1) for _, e in m)):
+                beta1 = tuple((g, a) for (g, _), a in zip(m, split) if a)
+                beta2 = tuple((g, e - a) for (g, e), a in zip(m, split) if a < e)
+                if beta1 and beta2:
+                    binomials.append(mono_mul(beta1, beta2)[0])
+            orders[w][m] = gcd(spec.ring.modulus, *binomials)
+    return orders
 
 
 def verify_indecomposables(spec):

@@ -66,14 +66,14 @@ def doubled_multiple_reps(monkeypatch):
     monkeypatch.setattr(oracle_module, "_closed_form_rep", corrupted)
 
 
-def shifted_phi_coords(monkeypatch):
-    real = OmegaOracle.phi_coords
+def shifted_phi_class(monkeypatch):
+    real = OmegaOracle.phi_class
 
-    def corrupted(self, p, beta, coords):
-        target, image = real(self, p, beta, coords)
+    def corrupted(self, p, element):
+        target, image = real(self, p, element)
         return target, [x + 1 for x in image]
 
-    monkeypatch.setattr(OmegaOracle, "phi_coords", corrupted)
+    monkeypatch.setattr(OmegaOracle, "phi_class", corrupted)
 
 
 def no_phi_2(monkeypatch):
@@ -106,7 +106,7 @@ CONTROLS = [
         "monomial ((0, 1),) in block ((0, 1),): False != True",
     ),
     (
-        shifted_phi_coords,
+        shifted_phi_class,
         "phi_2 kills A_+-multiples and foreign primes",
         "x1*dx1 in block ((0, 4),): False != True",  # phi_2 of block ((0, 2),) lands in ((0, 4),)
     ),
