@@ -23,8 +23,8 @@ serve both.
 S is closed under U(A) on term dicts.  Each S-generator is built and weighed
 once; the envelope rules then carry its weight w to every image: the twist
 by phi_q weighs q * w and the shift by a monomial m weighs w + w(m), and an
-image past N is never built.  presentation_relations returns (weight,
-element) pairs, so each relation goes straight to its weight's slice.
+image past N is never built.  presentation_relations yields (weight,
+terms) pairs, so each relation's terms go straight into its weight's rows.
 """
 
 from .coeff import primes_up_to
@@ -447,82 +447,79 @@ def _unit_on_monomials(element):
 def presentation_relations(spec, gamma_relation_sign=-1):
     """The S-generators, instantiated on basis monomials and closed under U(A).
 
-    Returns (weight, element) pairs of nonzero homogeneous elements of
-    U(A) (x) A.  The second family is 1 (x) gamma_n(a) - phi_n (x) a +
-    sign * sum gamma_i(a) phi_j (x) a; the derivation law forces sign = -1,
-    which is the default.  Each generator of weight w is followed by its
-    nonzero twists by the phi_q of ``u0_basis_up_to`` (weight q * w <= N),
-    and each of those by its nonzero shifts by the basis monomials m with
+    Yields (weight, terms) pairs: the canonical term dicts of nonzero
+    homogeneous elements of U(A) (x) A, each with its weight.  The second
+    family is 1 (x) gamma_n(a) - phi_n (x) a + sign * sum gamma_i(a) phi_j (x) a;
+    the derivation law forces sign = -1, which is the default.  Each
+    generator of weight w is closed as soon as it is built: its nonzero twists
+    by the phi_q of ``u0_basis_up_to`` (weight q * w <= N, the unit first) are
+    each followed by their nonzero shifts by the basis monomials m with
     weight + w(m) <= N.
     """
     cap = spec.truncation
     weighted = [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
-    base = []
-    for ai, (a, wa) in enumerate(weighted):
-        a_el = from_terms(spec, {a: 1})
-        for b, wb in weighted[ai:]:
-            if wa + wb > cap:
-                continue
-            b_el = from_terms(spec, {b: 1})
-            rel = _on_label(a_el, b) + _on_label(b_el, a) - _unit_on_monomials(a_el * b_el)
-            base.append(rel)
-        for n in range(2, cap // wa + 1):
-            rel = _unit_on_monomials(divided_power(n, a_el))
-            if (phi := phi_of(n)) is not None:
-                rel = rel - UElement(spec, {(a, phi, None): 1})
-            for i in range(1, n):
-                phi = phi_of(n - i)
-                if phi is None:
-                    continue
-                piece = _on_label(divided_power(i, a_el), a, phi)
-                rel = rel + piece.scale(gamma_relation_sign)
-            base.append(rel)
+
+    def generators():
+        for ai, (a, wa) in enumerate(weighted):
+            a_el = from_terms(spec, {a: 1})
+            for b, wb in weighted[ai:]:
+                if wa + wb <= cap:
+                    b_el = from_terms(spec, {b: 1})
+                    yield _on_label(a_el, b) + _on_label(b_el, a) - _unit_on_monomials(a_el * b_el)
+            for n in range(2, cap // wa + 1):
+                rel = _unit_on_monomials(divided_power(n, a_el))
+                if (phi := phi_of(n)) is not None:
+                    rel = rel - UElement(spec, {(a, phi, None): 1})
+                for i in range(1, n):
+                    phi = phi_of(n - i)
+                    if phi is None:
+                        continue
+                    piece = _on_label(divided_power(i, a_el), a, phi)
+                    rel = rel + piece.scale(gamma_relation_sign)
+                yield rel
 
     # Twists and shifts both ascend in weight: the first image past N ends a loop.
-    closed = []
-    twists = [phi for phi, _ in u0_basis_up_to(cap, spec.ring)[1:]]
+    twists = [phi for phi, _ in u0_basis_up_to(cap, spec.ring)]
     products = {}
-    for rel in base:
+    for rel in generators():
         if rel.is_zero():
             continue
         w = rel.weight()
-        variants = [(w, rel.terms)]
         for phi in twists:
             twisted = twist(spec, phi, w, rel.terms)
             if twisted is None:
                 break
-            if twisted[1]:
-                variants.append(twisted)
-        for vw, terms in variants:
-            closed.append((vw, UElement._raw(spec, terms)))
+            if not twisted[1]:
+                continue
+            yield twisted
             for mono, _ in weighted:
-                shifted = shift(spec, mono, vw, terms, products)
+                shifted = shift(spec, mono, *twisted, products)
                 if shifted is None:
                     break
                 if shifted[1]:
-                    closed.append((shifted[0], UElement._raw(spec, shifted[1])))
-    return closed
+                    yield shifted
 
 
 def presentation_of_omega(spec, gamma_relation_sign=-1):
     """Per-weight generators and relation rows of (U(A) (x) A)/S.
 
     A weight's rows are its S-instances as sparse rows over the weight's
-    basis: each relation's terms become (column, value) pairs through the
-    weight's ``basis_index`` (a term outside the slice raises KeyError), with
-    no zero values, as elements keep nonzero terms only.  The rows are
-    deduplicated in that form, sorted by their pairs, and stored as dicts
-    {column: value}.  The ambient mod-p torsion of phi-coefficients is carried
-    by the entries' annihilators.
+    basis: each relation's terms, as ``presentation_relations`` yields them,
+    go straight into the weight's row set as (column, value) pairs through
+    the weight's ``basis_index`` (a term outside the slice raises KeyError),
+    with no zero values, as the term dicts keep nonzero terms only.  The rows
+    are deduplicated in that form, sorted by their pairs, and stored as dicts
+    {column: value}; each set is dropped as its slice is built.  The ambient
+    mod-p torsion of phi-coefficients is carried by the entries' annihilators.
     """
     slices = free_basis(spec, basis_up_to(spec), phi_major=False)
     indexes = {w: basis_index(entries) for w, entries in slices.items()}
     rows = {w: set() for w in slices}
-    for w, rel in presentation_relations(spec, gamma_relation_sign):
+    for w, terms in presentation_relations(spec, gamma_relation_sign):
         index = indexes[w]
-        rows[w].add(tuple(sorted([(index[key], c) for key, c in rel.terms.items()])))
+        rows[w].add(tuple(sorted([(index[key], c) for key, c in terms.items()])))
     return {
-        w: PresentationSlice(w, slices[w], [dict(pairs) for pairs in sorted(rows[w])])
+        w: PresentationSlice(w, slices[w], [dict(pairs) for pairs in sorted(rows.pop(w))])
         for w in sorted(slices)
     }
 
