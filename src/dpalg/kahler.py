@@ -25,6 +25,10 @@ once; the envelope rules then carry its weight w to every image: the twist
 by phi_q weighs q * w and the shift by a monomial m weighs w + w(m), and an
 image past N is never built.  presentation_relations yields (weight,
 terms) pairs, so each relation's terms go straight into its weight's rows.
+
+The same two rules write Omega's U(A)-module tables (omega_as_umodule): each
+in-range (monomial or phi_p, basis entry) pair is one shift or twist of the
+entry's one-term dict, and no UElement is built.
 """
 
 from .coeff import primes_up_to
@@ -73,9 +77,6 @@ class BasisEntry(FrozenRecord):
     @property
     def key(self):
         return (self.label, self.phi, self.amono)
-
-    def element(self, spec):
-        return UElement(spec, {self.key: 1})
 
     def __str__(self):
         return format_term(self.key)
@@ -180,12 +181,16 @@ def omega_as_umodule(spec):
     The action is graded: a monomial of weight w takes a basis element of
     weight v to weight v + w, and phi_p takes it to weight p * v, so only the
     pairs with that weight at most N are acted on (the basis ascends in
-    weight, so the first pair past N ends a scan).  Each image's terms become
-    a column of its table, column j the image of basis element j as its
-    (row, value) pairs, which is the stored form of ``UModule.from_columns``:
-    no dense row is built.  A table whose columns are all empty is left out.
-    Tables are keyed in basis order, then in prime order; ``a_action`` and
-    ``phi_action`` are their dense views.
+    weight, so the first pair past N ends a scan).  Each pair is one call of
+    an envelope rule on the entry's one-term dict: ``shift`` by the monomial,
+    or ``twist`` by phi_p.  Both take a term to at most one term, so column j,
+    the image of basis element j as its (row, value) pairs, has at most one
+    pair; that is the stored form of ``UModule.from_columns``, and no dense
+    row is built.  One dict of ``mono_mul`` results serves every monomial
+    table, so each (monomial, A_+ part) product is formed once per call.  A
+    table whose columns are all empty is left out.  Tables are keyed in basis
+    order, then in prime order; ``a_action`` and ``phi_action`` are their
+    dense views.
 
     >>> from dpalg import ZZ, free_spec
     >>> module = omega_as_umodule(free_spec(ZZ, 1, 3))
@@ -199,26 +204,27 @@ def omega_as_umodule(spec):
     entries = omega_basis_all(spec)
     index = basis_index(entries)
     anns = tuple(e.annihilator for e in entries)
-    elements = [(e.weight, e.element(spec)) for e in entries]
 
     def table(act, top):
         """The columns of ``act``, None if all are empty, from its images of
-        the basis elements of weight <= top."""
-        columns = [()] * len(elements)
-        for j, (v, el) in enumerate(elements):
-            if v > top:
+        the basis entries of weight <= top."""
+        columns = [()] * len(entries)
+        for j, entry in enumerate(entries):
+            if entry.weight > top:
                 break
-            columns[j] = sorted([(index[key], c) for key, c in act(el).terms.items()])
+            _, image = act(entry.weight, {entry.key: 1})
+            columns[j] = [(index[key], c) for key, c in image.items()]
         return columns if any(columns) else None
 
+    products = {}  # (monomial, A_+ part) -> mono_mul, shared by all monomial tables
     a_columns = {}
     for mono in basis_up_to(spec):
-        a_el = from_terms(spec, {mono: 1})
-        if columns := table(lambda el: el.act_algebra(a_el), cap - spec.monomial_weight(mono)):
+        top = cap - spec.monomial_weight(mono)
+        if columns := table(lambda w, terms: shift(spec, mono, w, terms, products), top):
             a_columns[mono] = columns
     phi_columns = {}
     for p in primes_up_to(cap):
-        if columns := table(lambda el: el.act_phi(p), cap // p):
+        if columns := table(lambda w, terms: twist(spec, (p, 1), w, terms), cap // p):
             phi_columns[p] = columns
     return UModule.from_columns(spec, anns, a_columns, phi_columns)
 

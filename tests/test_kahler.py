@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from dpalg import envelope, kahler
 from dpalg.coeff import Ring, ZZ, prime_power_decomposition, prime_powers_up_to, primes_up_to
 from dpalg.dpcore import (
     basis_up_to,
@@ -126,7 +127,7 @@ def test_omega_coordinates_roundtrip():
         rebuilt = UElement(RANK2)
         for c, entry in zip(coords, entries):
             if c:
-                rebuilt = rebuilt + entry.element(RANK2).scale(c)
+                rebuilt = rebuilt + UElement(RANK2, {entry.key: c})
         assert rebuilt == universal_derivation(a)
 
 
@@ -166,7 +167,7 @@ def reference_omega_as_umodule(spec):
     on and read as a dense coordinate column, and the columns are transposed."""
     entries = omega_basis_all(spec)
     index = basis_index(entries)
-    elements = [e.element(spec) for e in entries]
+    elements = [UElement(spec, {e.key: 1}) for e in entries]
     a_action = {}
     for mono in basis_up_to(spec):
         a_el = from_terms(spec, {mono: 1})
@@ -211,21 +212,42 @@ def test_omega_module_acts_only_on_pairs_in_range(monkeypatch):
     # A monomial of weight w moves weight v to v + w, phi_p moves it to p * v;
     # a pair landing past N has a zero image and must not be acted on.
     spec = free_spec(ZZ, 2, 6)
-    calls = {"act_algebra": 0, "act_phi": 0}
+    calls = {"shift": 0, "twist": 0}
     for name in calls:
 
-        def counted(self, *args, _method=getattr(UElement, name), _name=name):
+        def counted(*args, _rule=getattr(kahler, name), _name=name):
             calls[_name] += 1
-            return _method(self, *args)
+            return _rule(*args)
 
-        monkeypatch.setattr(UElement, name, counted)
+        monkeypatch.setattr(kahler, name, counted)
     omega_as_umodule(spec)
     weights = [e.weight for e in omega_basis_all(spec)]
     in_range = {
-        "act_algebra": sum(v + spec.monomial_weight(m) <= 6 for m in basis_up_to(spec) for v in weights),
-        "act_phi": sum(p * v <= 6 for p in primes_up_to(6) for v in weights),
+        "shift": sum(v + spec.monomial_weight(m) <= 6 for m in basis_up_to(spec) for v in weights),
+        "twist": sum(p * v <= 6 for p in primes_up_to(6) for v in weights),
     }
-    assert calls == in_range == {"act_algebra": 392, "act_phi": 30}
+    assert calls == in_range == {"shift": 392, "twist": 30}
+
+
+@pytest.mark.parametrize(
+    "ring, rank, trunc", [(ZZ, 2, 6), (ZZ, 3, 6), (Ring(6), 2, 7)], ids=["2-6-Z", "3-6-Z", "2-7-Z/6"]
+)
+def test_omega_module_forms_each_product_once(monkeypatch, ring, rank, trunc):
+    # The monomial tables share one dict of mono_mul results: a (monomial,
+    # A_+ part) product is formed once per build, however many labels and
+    # phi parts carry that A_+ part.
+    spec = free_spec(ring, rank, trunc)
+    formed = []
+    monkeypatch.setattr(envelope, "mono_mul", lambda a, b: formed.append((a, b)) or mono_mul(a, b))
+    omega_as_umodule(spec)
+    shifted = [
+        (m, e.amono)
+        for m in basis_up_to(spec)
+        for e in omega_basis_all(spec)
+        if e.amono is not None and e.weight + spec.monomial_weight(m) <= trunc
+    ]
+    assert sorted(formed) == sorted(set(shifted))
+    assert len(formed) < len(shifted)
 
 
 def test_is_dp_derivation_negative_control():
