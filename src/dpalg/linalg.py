@@ -13,6 +13,7 @@ transpose, and a Smith form off Hermite forms of a matrix and its transpose,
 alternated until diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 """
 
+from collections import Counter
 from itertools import compress
 from math import gcd
 
@@ -295,17 +296,56 @@ def invariant_factor_chain(cyclic_orders, ring):
 
     ``cyclic_orders`` uses the annihilator convention (0 = free summand);
     orders are first collapsed through ``ring.effective_annihilator``, trivial
-    summands dropped, and the rest merged into the divisibility chain, so the
-    output is directly comparable with ``cokernel_factors``.  Each order d is
-    merged by Z/c + Z/d = Z/gcd(c, d) + Z/lcm(c, d) along the chain so far,
-    which keeps it a chain and needs no factoring.
+    summands dropped, and the rest arranged into the divisibility chain, so
+    the output is directly comparable with ``cokernel_factors``.  Each order
+    is split into prime powers, each prime's powers are sorted, and the chain
+    is their product position by position, the largest powers at the end:
+    the elementary divisors regrouped into invariant factors.  The "primes"
+    are a coprime base of the distinct orders, found by gcds, so no order is
+    factored: an order whose prime factors are out of reach stays whole.
     """
     orders = [ring.effective_annihilator(d) for d in cyclic_orders]
-    chain = []
-    for d in orders:
-        if d > 1:
-            for i, c in enumerate(chain):
-                g = gcd(c, d)
-                chain[i], d = g, c // g * d
-            chain.append(d)
-    return tuple([c for c in chain if c != 1] + [0] * orders.count(0))
+    counts = Counter(d for d in orders if d > 1)
+    # Exponents per base element, each with its count of orders.
+    base = _coprime_base(counts)
+    powers = {}
+    for d, count in counts.items():
+        for b in base:
+            e = 0
+            while d % b == 0:
+                d //= b
+                e += 1
+            if e:
+                powers.setdefault(b, []).extend([e] * count)
+    length = max(map(len, powers.values()), default=0)
+    chain = [1] * length
+    for b, exponents in powers.items():
+        exponents.sort()
+        for i, e in enumerate(exponents, length - len(exponents)):
+            chain[i] *= b**e
+    return tuple(chain + [0] * orders.count(0))
+
+
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 of which each of ``values`` is a product.
+
+    An element meeting a new value in a gcd g > 1 is split into g and its
+    cofactors, which go back through the refinement; the product of what is
+    left to place drops by g each time, so the refinement ends.
+    """
+    base = []
+    for value in values:
+        pending = [value]
+        while pending:
+            x = pending.pop()
+            if x == 1:
+                continue
+            for i, b in enumerate(base):
+                g = gcd(x, b)
+                if g > 1:
+                    del base[i]
+                    pending += [g, b // g, x // g]
+                    break
+            else:
+                base.append(x)
+    return base

@@ -268,7 +268,7 @@ def test_invariant_factor_chain():
     assert invariant_factor_chain([0], Ring(6)) == (6,)
     assert invariant_factor_chain([5], Ring(6)) == ()
     assert invariant_factor_chain([2, 0], Ring(4)) == (2, 4)
-    # A large prime order merges by gcd and lcm, without being factored.
+    # A large prime order is a coprime-base element of its own: it is never factored.
     mersenne = 2**61 - 1
     assert invariant_factor_chain([4 * mersenne, 6], ZZ) == (2, 12 * mersenne)
 

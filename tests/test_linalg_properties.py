@@ -2,7 +2,8 @@
 against references that run no elimination from ``dpalg.linalg``: a dense
 Hermite loop kept here, determinantal divisors from Bareiss determinants, and
 kernels by enumerating a box of vectors.  cokernel_factors over Z/m is held
-to the direct route, which adjoins every m*e_j before one Smith form.
+to the direct route, which adjoins every m*e_j before one Smith form, and
+invariant_factor_chain to merging the orders by gcd and lcm.
 
 Skipped when hypothesis is not installed (it is in the ``test`` extra).
 """
@@ -19,6 +20,7 @@ from dpalg.coeff import Ring
 from dpalg.linalg import (
     cokernel_factors,
     hermite_form,
+    invariant_factor_chain,
     kernel_basis_mod,
     smith_diagonal,
     solve_in_lattice,
@@ -260,3 +262,35 @@ def test_spans_full_lattice_with_matches_stacking_the_rows(case):
     relations, images, ncols = case
     hnf = hermite_form(relations, ncols)
     assert spans_full_lattice_with(hnf, images, ncols) == spans_full_lattice([*images, *densify(hnf, ncols)], ncols)
+
+
+def merged_invariant_factor_chain(cyclic_orders, ring):
+    """The chain by merging: each order d goes along the chain built so far
+    by Z/c + Z/d = Z/gcd(c, d) + Z/lcm(c, d), which keeps it a chain and
+    factors nothing, at O(orders x chain length) gcds."""
+    orders = [ring.effective_annihilator(d) for d in cyclic_orders]
+    chain = []
+    for d in orders:
+        if d > 1:
+            for i, c in enumerate(chain):
+                g = gcd(c, d)
+                chain[i], d = g, c // g * d
+            chain.append(d)
+    return tuple([c for c in chain if c != 1] + [0] * orders.count(0))
+
+
+ORDERS = st.sampled_from((0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 30, 36, 49, 60, 2**61 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from((0, 4, 6, 9, 12, 30)), st.lists(ORDERS, max_size=14))
+@example(0, [])
+@example(0, [0, 2, 3])
+@example(0, [4 * (2**61 - 1), 6])  # a prime too large to find stays a base element
+@example(12, [8, 9, 0, 0, 6])
+@example(30, [4, 6, 9, 25, 2**61 - 1])
+def test_invariant_factor_chain_matches_the_merge(modulus, orders):
+    """Prime powers sorted per prime and multiplied position by position give
+    the chain that merging order by order gives."""
+    ring = Ring(modulus)
+    assert invariant_factor_chain(orders, ring) == merged_invariant_factor_chain(orders, ring)
