@@ -380,20 +380,19 @@ class OmegaOracle:
 # The main-theorem and indecomposables verifiers
 
 
-def _closed_form_rep(oracle, entry, phi_dx, d):
+def _closed_form_rep(oracle, entry, phi_dx, d, in_1):
     """Representative in A ∐ A of the closed-form basis element.
 
-    ``d`` holds d(m) = in_2(m) - in_1(m) per basis monomial, and ``phi_dx``
-    the representative of phi (x) dx_i per (label, phi), so it is built once
-    and shared by all of its A_+-multiples.
+    ``d`` holds d(m) = in_2(m) - in_1(m) and ``in_1`` holds in_1(m) per basis
+    monomial, and ``phi_dx`` the representative of phi (x) dx_i per (label,
+    phi), so it is built once and shared by all of its A_+-multiples.
     """
     key = (entry.label, entry.phi)
     if key not in phi_dx:
         phi_dx[key] = oracle.phi_rep(entry.phi, d[entry.label])
     rep = phi_dx[key]
     if entry.amono is not None:
-        shift = oracle.coproduct.include_left(from_terms(oracle.spec, {entry.amono: 1}))
-        rep = shift * rep
+        rep = in_1[entry.amono] * rep
     return rep
 
 
@@ -425,7 +424,7 @@ def verify_main_theorem(spec):
         comparison[w] = []
         images = {}  # block -> the comparison images in it
         for entry in closed[w]:
-            beta, coords = oracle.to_kernel_coords(_closed_form_rep(oracle, entry, phi_dx, d))
+            beta, coords = oracle.to_kernel_coords(_closed_form_rep(oracle, entry, phi_dx, d, in_1))
             comparison[w].append((beta, coords))
             images.setdefault(beta, []).append(coords)
             if entry.annihilator:
@@ -471,7 +470,7 @@ def verify_main_theorem(spec):
     # prime p has p*w <= N for w > N/2.
     for w in range(1, spec.truncation // 2 + 1):
         for entry in closed[w]:
-            rep = _closed_form_rep(oracle, entry, phi_dx, d)
+            rep = _closed_form_rep(oracle, entry, phi_dx, d, in_1)
             for p in primes_up_to(spec.truncation // w):
                 if entry.amono is None and (entry.phi == () or entry.phi[0] == p):
                     continue  # phi_p of these is another basis rep by construction

@@ -59,8 +59,8 @@ def swapped_universal_derivation(monkeypatch):
 def doubled_multiple_reps(monkeypatch):
     real = oracle_module._closed_form_rep
 
-    def corrupted(oracle, entry, phi_dx, d):
-        rep = real(oracle, entry, phi_dx, d)
+    def corrupted(oracle, entry, phi_dx, d, in_1):
+        rep = real(oracle, entry, phi_dx, d, in_1)
         return rep.scale(2) if entry.amono is not None else rep
 
     monkeypatch.setattr(oracle_module, "_closed_form_rep", corrupted)

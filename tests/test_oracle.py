@@ -236,11 +236,13 @@ def test_phi_class_of_closed_form_reps(rank, truncation, ring):
     # that always returned zero, or never did, fails here.
     spec = free_spec(ring, rank, truncation)
     oracle = OmegaOracle(spec)
-    d = {m: oracle.derivation_rep(from_terms(spec, {m: 1})) for m in basis_up_to(spec)}
+    basis = {m: from_terms(spec, {m: 1}) for m in basis_up_to(spec)}
+    d = {m: oracle.derivation_rep(a) for m, a in basis.items()}
+    in_1 = {m: oracle.coproduct.include_left(a) for m, a in basis.items()}
     read = skipped = 0
     for w, entries in omega_free_basis(spec).items():
         for entry in entries:
-            rep = _closed_form_rep(oracle, entry, {}, d)
+            rep = _closed_form_rep(oracle, entry, {}, d, in_1)
             beta, _ = oracle.to_kernel_coords(rep)
             for p in primes_up_to(truncation // w):
                 target, image = oracle.phi_class(p, rep)
