@@ -212,14 +212,23 @@ class UModule:
         return all(self._vanishes(_image(columns, pairs)) for pairs in vectors)
 
     def validate(self):
-        """Structural invariants of a U(A)-module presentation."""
+        """Structural invariants of a U(A)-module presentation.
+
+        A basis monomial without a table acts as the zero table, so the
+        torsion well-definedness law and the product law have an instance
+        for every basis monomial and every pair of them, whichever tables
+        are stored.
+        """
         report = CheckReport(f"UModule structure (rank {self.rank} over {self.spec.ring})")
-        a_tables = sorted(self._a_columns.items())
+        tables = self._a_columns
+        zero_columns = [[] for _ in range(self.rank)]
+        basis = {m: from_terms(self.spec, {m: 1}) for m in basis_up_to(self.spec)}
         phi_tables = sorted(self._phi_columns.items())
         # Well-definedness: each action must kill what the source coordinate's
         # annihilator kills.  For phi_p the coordinate enters through its p-th
         # power, so sources with annihilator prime to p must map to zero.
-        for mono, columns in a_tables:
+        for mono in sorted(basis):
+            columns = tables.get(mono, zero_columns)
             for j, d in enumerate(self.moduli):
                 if d:
                     report.check(
@@ -242,7 +251,7 @@ class UModule:
         for p, columns in phi_tables:
             scaled = [[(j, p)] for j in range(self.rank)]
             report.check(f"p*phi_p = 0 (p={p})", self._kills(columns, scaled), True)
-            for mono, inner in a_tables:
+            for mono, inner in sorted(tables.items()):
                 report.check(
                     f"phi_p annihilates A-multiples (p={p})",
                     self._kills(columns, inner),
@@ -252,19 +261,12 @@ class UModule:
             for q, inner in phi_tables:
                 if q != p:
                     report.check(f"phi_p phi_q = 0 (p={p}, q={q})", self._kills(columns, inner), True)
-        # a * (b * v) = (a b) * v on every pair that some table meets; an
-        # absent table acts as 0.
-        tables = self._a_columns
-        zero_columns = [[] for _ in range(self.rank)]
-        basis = {m: from_terms(self.spec, {m: 1}) for m in basis_up_to(self.spec)} if tables else {}
+        # a * (b * v) = (a b) * v on every pair of basis monomials.
         for mono_a, a in basis.items():
             for mono_b, b in basis.items():
-                product = a * b
-                if mono_a not in tables and mono_b not in tables and tables.keys().isdisjoint(product.terms):
-                    continue
                 columns = tables.get(mono_a, zero_columns)
                 images = [_image(columns, pairs) for pairs in tables.get(mono_b, zero_columns)]
-                for mono, c in product.terms.items():
+                for mono, c in (a * b).terms.items():
                     if mono in tables:
                         for j, image in enumerate(images):
                             _image(tables[mono], [(j, -c)], image)

@@ -134,6 +134,17 @@ def test_module_validation():
     assert not corrupted_phi_module(SPEC).validate().passed
 
 
+def test_module_validation_without_tables_is_not_vacuous():
+    # An absent table acts as the zero table: a module with no table at all
+    # still meets the product law on every pair of basis monomials, and the
+    # well-definedness law on every monomial and torsion coordinate.
+    for module in (zero_module(SPEC), trivial_module(SPEC, (0, 2, 3))):
+        report = module.validate()
+        assert report.passed and report.records
+    laws = {r.law for r in trivial_module(SPEC, (0, 2, 3)).validate().records}
+    assert laws == {"a_action respects products", "a_action defined on torsion coordinates"}
+
+
 def test_module_validation_well_definedness():
     # phi_2 out of a Z/3 coordinate is not well defined (3x = 0 but
     # phi_2(3x) = 9 phi_2(x) = phi_2(x) on a 2-torsion target).
