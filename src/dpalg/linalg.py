@@ -306,24 +306,20 @@ def invariant_factor_chain(cyclic_orders, ring):
     """
     orders = [ring.effective_annihilator(d) for d in cyclic_orders]
     counts = Counter(d for d in orders if d > 1)
-    # Exponents per base element, each with its count of orders.
-    base = _coprime_base(counts)
-    powers = {}
+    powers = {b: [] for b in _coprime_base(counts)}  # b -> its exponent in each order
     for d, count in counts.items():
-        for b in base:
+        for b, exponents in powers.items():
             e = 0
             while d % b == 0:
                 d //= b
                 e += 1
-            if e:
-                powers.setdefault(b, []).extend([e] * count)
-    length = max(map(len, powers.values()), default=0)
-    chain = [1] * length
+            exponents += [e] * count
+    chain = [1] * sum(counts.values())
     for b, exponents in powers.items():
         exponents.sort()
-        for i, e in enumerate(exponents, length - len(exponents)):
+        for i, e in enumerate(exponents):
             chain[i] *= b**e
-    return tuple(chain + [0] * orders.count(0))
+    return tuple([c for c in chain if c != 1] + [0] * orders.count(0))
 
 
 def _coprime_base(values):
