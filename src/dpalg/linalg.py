@@ -8,7 +8,10 @@ only.  The one elimination is ``hermite_form``.  It works on sparse
 rows, dicts of their nonzero entries bucketed by leading column, so a
 column's gcd steps see only the rows that start there and touch only nonzero
 entries (sparse elimination as in Dumas, Saunders and Villard, J. Symb.
-Comput. 32, 2001).  A kernel is read off one Hermite form of the augmented
+Comput. 32, 2001).  Each step pivots on a least entry of the column, ties
+going to the row whose next nonzero column lies furthest right, which keeps
+fill out of the reduced rows; the Hermite form is unique, so the rule never
+changes a basis.  A kernel is read off one Hermite form of the augmented
 transpose, and a Smith form off Hermite forms of a matrix and its transpose,
 alternated until diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 """
@@ -64,7 +67,12 @@ def hermite_form(rows, ncols):
     dict {column: value} of its nonzeros, kept in the bucket of its leading
     column.  Column ``col`` takes its bucket, and gcd steps leave one row
     with an entry there, the pivot; a reduced row whose leading entry
-    vanished moves to the bucket of its new leading column.  Then each pivot
+    vanished moves to the bucket of its new leading column.  Each step
+    pivots on a row with the least |entry| at ``col``; when rows tie, on
+    the one whose next nonzero column lies furthest right (found for the
+    tied rows only), as the fill it brings into each reduced row then
+    starts latest.  The result is the lattice's unique Hermite form
+    whichever row pivots.  Then each pivot
     reduces the rows above it that have an entry in its column, found from a
     column index that grows as entries fill in.  Each output row is read off
     its dict: its sorted columns, and the values at them.
@@ -87,7 +95,14 @@ def hermite_form(rows, ncols):
             continue
         # Reduce the column to a single nonzero entry by gcd steps.
         while len(live) > 1:
-            pivot = min(live, key=lambda r: abs(r[col]))
+            sizes = [abs(r[col]) for r in live]
+            least = min(sizes)
+            pivot = live[sizes.index(least)]
+            if sizes.count(least) > 1:
+                # Of the tied rows, the one whose next entry lies furthest
+                # right brings the least fill into the rows it reduces.
+                tied = compress(live, [size == least for size in sizes])
+                pivot = max(tied, key=lambda r: min([j for j in r if j != col], default=ncols))
             p = pivot[col]
             items = [(j, v) for j, v in pivot.items() if j != col]
             kept = [pivot]

@@ -8,6 +8,7 @@ invariant_factor_chain to merging the orders by gcd and lcm.
 Skipped when hypothesis is not installed (it is in the ``test`` extra).
 """
 
+import random
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -156,6 +157,23 @@ def test_hermite_form_matches_dense_loop_on_sparse_rows(case):
 @example(([(-3, 5), (0, 0), (-3, 5)], 2))
 def test_hermite_form_matches_dense_loop_on_small_dense_rows(case):
     _assert_matches_dense_loop(*case)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(matrices(max_rows=8, max_cols=6, min_cols=0), st.integers(0, 2**32 - 1))
+@example(([[2, 1, 0], [2, 0, 1], [-2, 0, 0], [2, 3, 5]], 3), 0)
+@example(([[1, 4, 0, 0], [1, 0, 0, 3], [1, 0, 2, 0], [0, 1, 1, 1]], 4), 7)
+def test_hermite_form_is_the_same_in_any_row_order_and_form(case, seed):
+    # The pivot of a column is a least entry, ties going to the row whose
+    # next entry lies furthest right; the basis is the lattice's unique
+    # Hermite form, so neither the row order nor the row form can change it.
+    rows, ncols = case
+    shuffled = list(rows)
+    random.Random(seed).shuffle(shuffled)
+    hnf = hermite_form(rows, ncols)
+    assert hermite_form([{j: v for j, v in enumerate(r) if v} for r in rows], ncols) == hnf
+    assert hermite_form(rows[::-1], ncols) == hnf
+    assert hermite_form(shuffled, ncols) == hnf
 
 
 def minors(rows, ncols, k):
