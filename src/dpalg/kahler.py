@@ -20,11 +20,13 @@ Omega = (U(A) (x) A)/S is the same type with every monomial as a label, so one
 basis builder (free_basis) and one coordinates function (omega_coordinates)
 serve both.
 
-S is closed under U(A) on term dicts.  Each S-generator is built and weighed
-once; the envelope rules then carry its weight w to every image: the twist
-by phi_q weighs q * w and the shift by a monomial m weighs w + w(m), and an
-image past N is never built.  presentation_relations yields (weight,
-terms) pairs, so each relation's terms go straight into its weight's rows.
+S is closed under U(A) on term dicts.  Each S-generator is written as its
+term dict, with its weight known by construction (w(a) + w(b), or n * w(a)
+for the gamma_n family), and reduced once; no UElement is built.  The
+envelope rules then carry its weight w to every image: the twist by phi_q
+weighs q * w and the shift by a monomial m weighs w + w(m), and an image
+past N is never built.  presentation_relations yields (weight, terms)
+pairs, so each relation's terms go straight into its weight's rows.
 
 The same two rules write Omega's U(A)-module tables (omega_as_umodule): each
 in-range (monomial or phi_p, basis entry) pair is one shift or twist of the
@@ -44,6 +46,7 @@ from .dpcore import (
 from .envelope import (
     UNIT,
     UElement,
+    _reduce_coefficient,
     format_term,
     phi_degree,
     phi_of,
@@ -440,24 +443,16 @@ class PresentationSlice(Record):
         self.rows = rows
 
 
-def _on_label(element, label, phi=UNIT):
-    """element (x) phi (x) [label] for an element of A."""
-    return UElement(element.spec, {(label, phi, m): c for m, c in element.terms.items()})
-
-
-def _unit_on_monomials(element):
-    """1 (x) element, spread over the monomials of ``element``."""
-    return UElement(element.spec, {(m, UNIT, None): c for m, c in element.terms.items()})
-
-
 def presentation_relations(spec, gamma_relation_sign=-1):
     """The S-generators, instantiated on basis monomials and closed under U(A).
 
     Yields (weight, terms) pairs: the canonical term dicts of nonzero
     homogeneous elements of U(A) (x) A, each with its weight.  The second
     family is 1 (x) gamma_n(a) - phi_n (x) a + sign * sum gamma_i(a) phi_j (x) a;
-    the derivation law forces sign = -1, which is the default.  Each
-    generator of weight w is closed as soon as it is built: its nonzero twists
+    the derivation law forces sign = -1, which is the default.  A generator
+    is written as its term dict, weighing w(a) + w(b) or n * w(a) by
+    construction, and its coefficients are reduced once.  Each generator of
+    weight w is closed as soon as it is built: its nonzero twists
     by the phi_q of ``u0_basis_up_to`` (weight q * w <= N, the unit first) are
     each followed by their nonzero shifts by the basis monomials m with
     weight + w(m) <= N.
@@ -466,33 +461,38 @@ def presentation_relations(spec, gamma_relation_sign=-1):
     weighted = [(m, spec.monomial_weight(m)) for m in basis_up_to(spec)]
 
     def generators():
+        """(weight, unreduced term dict) of each S-generator."""
         for ai, (a, wa) in enumerate(weighted):
             a_el = from_terms(spec, {a: 1})
             for b, wb in weighted[ai:]:
                 if wa + wb <= cap:
+                    # a (x) [b] + b (x) [a] - 1 (x) [ab], one term 2 a (x) [a] when a = b
+                    terms = {(b, UNIT, a): 1}
+                    terms[(a, UNIT, b)] = terms.get((a, UNIT, b), 0) + 1
                     b_el = from_terms(spec, {b: 1})
-                    yield _on_label(a_el, b) + _on_label(b_el, a) - _unit_on_monomials(a_el * b_el)
+                    for m, c in (a_el * b_el).terms.items():
+                        terms[(m, UNIT, None)] = -c
+                    yield wa + wb, terms
             for n in range(2, cap // wa + 1):
-                rel = _unit_on_monomials(divided_power(n, a_el))
+                terms = {(m, UNIT, None): c for m, c in divided_power(n, a_el).terms.items()}
                 if (phi := phi_of(n)) is not None:
-                    rel = rel - UElement(spec, {(a, phi, None): 1})
+                    terms[(a, phi, None)] = -1
                 for i in range(1, n):
-                    phi = phi_of(n - i)
-                    if phi is None:
-                        continue
-                    piece = _on_label(divided_power(i, a_el), a, phi)
-                    rel = rel + piece.scale(gamma_relation_sign)
-                yield rel
+                    if (phi := phi_of(n - i)) is not None:
+                        for m, c in divided_power(i, a_el).terms.items():
+                            terms[(a, phi, m)] = gamma_relation_sign * c
+                yield n * wa, terms
 
     # Twists and shifts both ascend in weight: the first image past N ends a loop.
     twists = [phi for phi, _ in u0_basis_up_to(cap, spec.ring)]
+    ring = spec.ring
     products = {}
-    for rel in generators():
-        if rel.is_zero():
+    for w, raw in generators():
+        terms = {key: r for key, c in raw.items() if (r := _reduce_coefficient(ring, key, c))}
+        if not terms:
             continue
-        w = rel.weight()
         for phi in twists:
-            twisted = twist(spec, phi, w, rel.terms)
+            twisted = twist(spec, phi, w, terms)
             if twisted is None:
                 break
             if not twisted[1]:
