@@ -261,18 +261,21 @@ class UModule:
             for q, inner in phi_tables:
                 if q != p:
                     report.check(f"phi_p phi_q = 0 (p={p}, q={q})", self._kills(columns, inner), True)
-        # a * (b * v) = (a b) * v on every pair of basis monomials.
+        # a * (b * v) = (a b) * v on every pair of basis monomials.  Column j
+        # of the difference is nonzero only where the inner table, or the
+        # table of a term of a b, fills column j, so only those are built.
+        filled = {mono: [j for j, column in enumerate(columns) if column] for mono, columns in tables.items()}
         for mono_a, a in basis.items():
             for mono_b, b in basis.items():
                 columns = tables.get(mono_a, zero_columns)
-                images = [_image(columns, pairs) for pairs in tables.get(mono_b, zero_columns)]
+                inner = tables.get(mono_b, zero_columns)
+                images = {j: _image(columns, inner[j]) for j in filled.get(mono_b, ())}
                 for mono, c in (a * b).terms.items():
-                    if mono in tables:
-                        for j, image in enumerate(images):
-                            _image(tables[mono], [(j, -c)], image)
+                    for j in filled.get(mono, ()):
+                        _image(tables[mono], [(j, -c)], images.setdefault(j, {}))
                 report.check(
                     "a_action respects products",
-                    all(map(self._vanishes, images)),
+                    all(map(self._vanishes, images.values())),
                     True,
                     context=f"{mono_a} * {mono_b}",
                 )
@@ -343,7 +346,9 @@ def semidirect_gamma(n, u):
     as their nonzero pairs (phi_p is additive, so phi_{p^e}(x) = 0 once
     phi_{p^(e-1)}(x) = 0), and a term whose gamma_{k-j}(a) is zero is
     skipped.  The kept list is never changed in place: an extension is a
-    new list whose prefix holds the earlier entries.
+    new list whose prefix holds the earlier entries.  gamma_1 is kept as a
+    copy of ``u``, never ``u`` itself, so that ``u`` holds no reference to
+    itself and is freed without the cyclic garbage collector.
     """
     if n < 1:
         raise ValueError("divided power index must be >= 1")
@@ -359,7 +364,7 @@ def semidirect_gamma(n, u):
                 if any(image := mod.phi_p(phi[0], phis[j // phi[0]])):
                     phis[j] = image
         pairs = {j: _nonzero(x) for j, x in phis.items()}
-        kept = list(kept) or [u]
+        kept = list(kept) or [SemidirectElement._raw(mod, u.a, u.x)]
         for k in range(len(kept) + 1, n + 1):
             image = dict(pairs.get(k, ()))
             for j, nonzero in pairs.items():

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -27,7 +29,7 @@ from dpalg.dpcore import (
     zero,
 )
 from dpalg.kahler import is_dp_derivation, omega_as_umodule, universal_derivation_table
-from dpalg.suites import beck_module_zoo
+from dpalg.suites import beck_module_zoo, suite_beck
 
 SPEC = free_spec(ZZ, 1, 6)
 
@@ -125,6 +127,26 @@ def test_semidirect_gamma_extends_its_kept_sequence():
     assert all(a is b for a, b in zip(short, longer))
     assert len(kept) == 3  # extended on a copy, not in place
     assert longer == [_gamma_by_index(n, u) for n in range(1, 7)]
+    assert all(entry is not u for entry in u._gammas)  # gamma_1 is a copy: no cycle
+
+
+def test_beck_suite_leaves_no_element_to_the_cyclic_collector():
+    # Elements keep their divided powers; none may come to refer to itself,
+    # or each would wait for the cyclic collector to be freed.
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        suite_beck(5, 0)
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage if isinstance(o, (SemidirectElement, DPElement))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not cyclic, Counter(cyclic)
 
 
 def test_module_validation():
