@@ -102,7 +102,7 @@ def hermite_form(rows, ncols):
                 # Of the tied rows, the one whose next entry lies furthest
                 # right brings the least fill into the rows it reduces.
                 tied = compress(live, [size == least for size in sizes])
-                pivot = max(tied, key=lambda r: min([j for j in r if j != col], default=ncols))
+                pivot = max(tied, key=lambda r: min(filter(col.__ne__, r), default=ncols))
             p = pivot[col]
             items = [(j, v) for j, v in pivot.items() if j != col]
             kept = [pivot]
