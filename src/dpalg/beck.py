@@ -268,8 +268,7 @@ class UModule:
         for mono_a, a in basis.items():
             for mono_b, b in basis.items():
                 columns = tables.get(mono_a, zero_columns)
-                inner = tables.get(mono_b, zero_columns)
-                images = {j: _image(columns, inner[j]) for j in filled.get(mono_b, ())}
+                images = {j: _image(columns, tables[mono_b][j]) for j in filled.get(mono_b, ())}
                 for mono, c in (a * b).terms.items():
                     for j in filled.get(mono, ()):
                         _image(tables[mono], [(j, -c)], images.setdefault(j, {}))

@@ -484,8 +484,8 @@ def presentation_relations(spec, gamma_relation_sign=-1):
                 yield n * wa, terms
 
     # Twists and shifts both ascend in weight: the first image past N ends a loop.
-    twists = [phi for phi, _ in u0_basis_up_to(cap, spec.ring)]
     ring = spec.ring
+    twists = [phi for phi, _ in u0_basis_up_to(cap, ring)]
     products = {}
     for w, raw in generators():
         terms = {key: r for key, c in raw.items() if (r := _reduce_coefficient(ring, key, c))}

@@ -101,8 +101,10 @@ def hermite_form(rows, ncols):
             if sizes.count(least) > 1:
                 # Of the tied rows, the one whose next entry lies furthest
                 # right brings the least fill into the rows it reduces.
-                tied = compress(live, [size == least for size in sizes])
-                pivot = max(tied, key=lambda r: min(filter(col.__ne__, r), default=ncols))
+                furthest = -1
+                for r, size in zip(live, sizes):
+                    if size == least and (nxt := min(filter(col.__ne__, r), default=ncols)) > furthest:
+                        furthest, pivot = nxt, r
             p = pivot[col]
             items = [(j, v) for j, v in pivot.items() if j != col]
             kept = [pivot]
