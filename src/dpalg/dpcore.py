@@ -401,24 +401,35 @@ def coordinates(element, index):
 
 
 def dp_map_apply(images, element):
-    """Apply the DP map sending generator i to images[i] (freeness)."""
+    """Apply the DP map sending generator i to images[i] (freeness).
+
+    Each term's product of divided powers is added, times its coefficient,
+    straight into the result's dict, so the result is a new element even
+    where a term's product is an image or one of its kept divided powers.
+    """
     if len(images) != element.spec.generator_count:
         raise ValueError("one image per source generator required")
     target = images[0].spec
-    if any(im.spec != target for im in images):
+    if any(im.spec is not target and im.spec != target for im in images):
         raise ValueError("images live in different algebras")
-    if target.ring != element.spec.ring:
+    ring = target.ring
+    if ring != element.spec.ring:
         raise ValueError("ring mismatch")
-    result = zero(target)
+    out = {}
     for mono, c in element.terms.items():
         product = None
         for gen, e in mono:
             factor = divided_power(e, images[gen])
             product = factor if product is None else product * factor
-            if product.is_zero():
+            if not product.terms:
                 break
-        result = result + product.scale(c)
-    return result
+        for m, v in product.terms.items():
+            s = ring.normalize(out.get(m, 0) + c * v)
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return DPElement._raw(target, out)
 
 
 def random_element(spec, rng, max_terms=3):

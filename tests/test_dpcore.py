@@ -171,6 +171,47 @@ def test_dp_map_identity_and_fold():
         dp_map_apply([gamma_gen(RANK1, 0, 1)], g2x1)
 
 
+def dp_map_by_scaled_sums(images, element):
+    """The DP map as a running sum of each term's scaled product of divided powers."""
+    result = zero(images[0].spec)
+    for mono, c in element.terms.items():
+        product = None
+        for gen, e in mono:
+            factor = divided_power(e, images[gen])
+            product = factor if product is None else product * factor
+            if product.is_zero():
+                break
+        result = result + product.scale(c)
+    return result
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(4), Ring(6)], ids=["Z", "Z/4", "Z/6"])
+def test_dp_map_apply_matches_the_sum_of_scaled_products(ring):
+    # Multi-term images with coefficients other than 1: 2 x1 * 3 x2 vanishes
+    # over Z/6, gamma_2(2 x1) over Z/4, gamma_3 of the x2 image past N, and
+    # the third image is zero.
+    source = free_spec(ring, 3, 6)
+    target = free_spec(ring, 2, 6)
+    images = [
+        from_terms(target, {((0, 1),): 2, ((1, 2),): 3}),
+        from_terms(target, {((1, 1),): 3, ((0, 1), (1, 1)): 5}),
+        zero(target),
+    ]
+    rng = random.Random(5)
+    elements = [gamma_gen(source, 0, 1), gamma_gen(source, 0, 2), gamma_gen(source, 1, 3)]
+    elements += [random_element(source, rng, max_terms=5) for _ in range(80)]
+    vanished = 0
+    for a in elements:
+        got = dp_map_apply(images, a)
+        assert got == dp_map_by_scaled_sums(images, a), a
+        vanished += got.is_zero() and not a.is_zero()
+        # A term whose product is an image, or one of its kept divided
+        # powers, is copied, never handed out.
+        kept = [g for im in images for g in [im, *getattr(im, "_gammas", ())]]
+        assert all(got is not g and got.terms is not g.terms for g in kept), a
+    assert vanished
+
+
 def test_mul_ring_axioms_random():
     rng = random.Random(9)
     for spec in (RANK2, free_spec(Ring(6), 2, 6)):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd
 from itertools import combinations_with_replacement, product
@@ -659,6 +660,42 @@ def test_indecomposable_orders_are_the_smith_form_of_each_block(rank, truncation
 def test_main_theorem_at_larger_settings(rank, truncation, ring):
     report = verify_main_theorem(free_spec(ring, rank, truncation))
     assert report.passed, report.summary()
+
+
+RECORD_RINGS = [ZZ, Ring(2), Ring(4), Ring(6), Ring(9), Ring(12)]
+RECORD_SHAPES = [(1, 12, None), (2, 7, None), (3, 5, None), (2, 8, (1, 2)), (3, 6, (1, 1, 2)), (2, 9, (2, 3))]
+
+
+def test_main_theorem_records_are_pinned():
+    # Every record, in order, of 36 settings: law, verdict and counterexample.
+    # ``to_json`` condenses records per law, so it would not pin the counts.
+    digest = hashlib.sha256()
+    count = 0
+    for ring in RECORD_RINGS:
+        for rank, truncation, weights in RECORD_SHAPES:
+            for r in verify_main_theorem(free_spec(ring, rank, truncation, weights=weights)).records:
+                digest.update(repr((r.law, r.passed, r.counterexample)).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (
+        8285, "0bce668295675037772c52f0f50fa667c20425213316246e21cd1cafb6a2e8ac"
+    )
+
+
+@pytest.mark.parametrize("rank, truncation, calls", [(2, 7, 35), (3, 5, 55), (1, 12, 12)])
+def test_main_theorem_derives_each_basis_monomial_once(monkeypatch, rank, truncation, calls):
+    # The Leibniz and gamma-law left sides are read from the table of d(m)
+    # per basis monomial m, so ``derivation_rep`` builds that table and no more.
+    spec = free_spec(ZZ, rank, truncation)
+    derived = []
+    original = OmegaOracle.derivation_rep
+
+    def counted(self, a):
+        derived.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(OmegaOracle, "derivation_rep", counted)
+    assert verify_main_theorem(spec).passed
+    assert len(derived) == len(basis_up_to(spec)) == calls
 
 
 def test_main_theorem_at_rank4_n8():
