@@ -208,8 +208,10 @@ class UModule:
         return self.reduce(tuple(rng.randint(-bound, bound) for _ in range(self.rank)))
 
     def _kills(self, columns, vectors):
-        """True when the table kills every vector, each given by its nonzero pairs."""
-        return all(self._vanishes(_image(columns, pairs)) for pairs in vectors)
+        """True when the table kills every vector, each given by its nonzero
+        pairs.  An empty vector or image vanishes, so neither is tested."""
+        images = (_image(columns, pairs) for pairs in vectors if pairs)
+        return all(map(self._vanishes, filter(None, images)))
 
     def validate(self):
         """Structural invariants of a U(A)-module presentation.
@@ -249,7 +251,7 @@ class UModule:
         # A composite applies the outer table to the unreduced columns of the
         # inner one and is reduced once, as the matrix product would be.
         for p, columns in phi_tables:
-            scaled = [[(j, p)] for j in range(self.rank)]
+            scaled = [[(j, p)] for j, column in enumerate(columns) if column]
             report.check(f"p*phi_p = 0 (p={p})", self._kills(columns, scaled), True)
             for mono, inner in sorted(tables.items()):
                 report.check(

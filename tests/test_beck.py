@@ -197,6 +197,26 @@ def test_module_validation_meets_absent_tables_in_the_product_law():
     assert not verify_beck_axioms(module).passed
 
 
+# SHIFT sends e1 -> e0 and e2 -> e1, E1_TO_E2 sends e1 -> e2: phi_2, then x1,
+# then phi_3 is SHIFT.  Each law holds on its first nonempty column and fails
+# on the last one, so a check that stops early, or drops a nonempty column,
+# passes the module.
+SHIFT = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+E1_TO_E2 = [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
+PHI_LAW_CONTROLS = [
+    ("p*phi_p = 0 (p=2)", UModule(free_spec(ZZ, 1, 4), (2, 0, 0), phi_action={2: SHIFT})),
+    ("phi_p annihilates A-multiples (p=2)",
+     UModule(free_spec(ZZ, 1, 4), (0, 0, 2), a_action={((0, 1),): SHIFT}, phi_action={2: E1_TO_E2})),
+    ("phi_p phi_q = 0 (p=2, q=3)",
+     UModule(free_spec(ZZ, 1, 6), (0, 0, 0), phi_action={2: E1_TO_E2, 3: SHIFT})),
+]
+
+
+@pytest.mark.parametrize("law, module", PHI_LAW_CONTROLS, ids=[law for law, _ in PHI_LAW_CONTROLS])
+def test_module_validation_tests_every_column_of_the_phi_laws(law, module):
+    assert law in {r.law for r in module.validate().failures()}
+
+
 MODULE_ZOO = [
     zero_module(SPEC),
     trivial_module(SPEC, (0, 2, 3)),
